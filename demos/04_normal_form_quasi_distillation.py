@@ -1,10 +1,11 @@
 """Normal forms: every two-qubit state meets a Bell-diagonal representative.
 
 Local filtering drives both marginals to I/2, exposing the Bell-diagonal
-state SLOCC-equivalent to the input.  Rank-deficient entangled states resist
-filtering: they form a one-parameter family rho_nd(b) whose Bell-diagonal
-partner is only reached in the quasi-distillation limit, yet the reverse
-direction is an honest two-term separable map.
+state SLOCC-equivalent to the input; `classify` reads the same weights off
+the Lorentz normal form in closed form.  Rank-deficient entangled states
+resist filtering: they form a one-parameter family rho_nd(b) whose
+Bell-diagonal partner is only reached in the quasi-distillation limit, yet
+the reverse direction is an honest two-term separable map.
 """
 
 import numpy as np
@@ -28,19 +29,23 @@ print(f"  converged in {res.iterations} sweeps, "
       f"marginal deviation {res.marginal_deviation:.1e}")
 print(f"  original lambda:  {lam}")
 print(f"  recovered lambda: {recovered.round(10)}")
+print(f"  closed form:      {classify(rho).weights.round(10)}")
 
-# the three classes
+# the three classes; b is exact even after a local filter
 print("\nclassification:")
+K = np.kron(rng.normal(size=(2, 2)) + 0.8 * np.eye(2), np.eye(2))
+filtered_nd = K @ rho_nd(0.3) @ K.T
+filtered_nd /= np.trace(filtered_nd).real
 for name, state in (("maximally mixed", np.eye(4) / 4),
                     ("Bell-diagonal 0.7", weights_to_density([0.7, .1, .1, .1])),
-                    ("rho_nd(0.3)", rho_nd(0.3))):
+                    ("rho_nd(0.3)", rho_nd(0.3)),
+                    ("filtered rho_nd(0.3)", filtered_nd)):
     c = classify(state)
     extra = ""
     if c.kind == "bell_diagonal":
         extra = f", lambda {c.weights.round(6)}"
     elif c.kind == "nd_class":
-        tag = "approx" if c.approximate_b else "exact"
-        extra = f", b = {c.b:.4f} ({tag})"
+        extra = f", b = {c.b:.4f}"
     print(f"  {name}: {c.kind}{extra}")
 
 # quasi-distillation and its reverse

@@ -259,23 +259,19 @@ def cmd_normal_form(args):
     if kind != "density":
         raise InputError(f"{args.state}: 'normal-form' expects kind 'density'")
     try:
-        result = classify(payload, rng=args.seed)
+        result = classify(payload)
     except NumericsError as exc:
         raise InputError(f"{args.state}: {exc}") from exc
     if result.kind == "separable":
         _emit(args, ["class: Separable"], {"class": "Separable"})
     elif result.kind == "bell_diagonal":
         _emit(args, ["class: BellDiagonal",
-                     f"lambda: {_fmt_vec(result.weights)}",
-                     f"iterations: {result.iterations}"],
+                     f"lambda: {_fmt_vec(result.weights)}"],
               {"class": "BellDiagonal",
-               "lambda": [float(x) for x in result.weights],
-               "iterations": result.iterations})
+               "lambda": [float(x) for x in result.weights]})
     else:
-        tag = "approx" if result.approximate_b else "exact"
-        _emit(args, [f"class: NDClass b={result.b:.3f} ({tag})"],
-              {"class": "NDClass", "b": float(result.b),
-               "approximate": result.approximate_b})
+        _emit(args, [f"class: NDClass b={result.b:.3f}"],
+              {"class": "NDClass", "b": float(result.b)})
     return EXIT_YES
 
 
@@ -376,7 +372,7 @@ def build_parser():
     parser.add_argument("--json", action="store_true",
                         help="machine-readable JSON output")
     parser.add_argument("--seed", type=int, default=0,
-                        help="RNG seed for randomized paths (default 0)")
+                        help="RNG seed for selfcheck (default 0)")
     parser.add_argument("--tol", type=float, default=1e-10,
                         help="tolerance for Bell-diagonality checks")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -40,11 +40,27 @@ class NotConvertibleError(NumericsError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MonotoneTriple:
+    """E1 and the (numerator, denominator) pairs of E2 and E3, both >= 0.
+
+    The five numbers are stored flat (every Decision holds two triples) and
+    `e2`, `e3` read them back as pairs.
+    """
+
     e1: float
-    e2: tuple  # (numerator, denominator), both >= 0
-    e3: tuple
+    e2_num: float
+    e2_den: float
+    e3_num: float
+    e3_den: float
+
+    @property
+    def e2(self):
+        return self.e2_num, self.e2_den
+
+    @property
+    def e3(self):
+        return self.e3_num, self.e3_den
 
     def as_floats(self):
         """Decimal view; zero denominators map to +inf."""
@@ -67,11 +83,8 @@ def monotones(lam):
     """The complete monotone triple of an ordered entangled weight vector."""
     lam = _require_ordered_entangled(lam)
     l1, l2, l3, l4 = lam
-    return MonotoneTriple(
-        e1=float(l1),
-        e2=(float(1 - 2 * l2), float(l3 + l4)),
-        e3=(float(1 - 2 * l2 - 2 * l3), float(l4)),
-    )
+    return MonotoneTriple(float(l1), float(1 - 2 * l2), float(l3 + l4),
+                          float(1 - 2 * l2 - 2 * l3), float(l4))
 
 
 def ratio_geq(a, b):
@@ -81,7 +94,12 @@ def ratio_geq(a, b):
     return an * bd >= bn * ad
 
 
-@dataclass(frozen=True)
+# one shared string per monotone, so a NO answer allocates no text
+_INCREASES = {name: f"{name} increases from source to target"
+              for name in ("E1", "E2", "E3")}
+
+
+@dataclass(frozen=True, slots=True)
 class Decision:
     convertible: bool
     reason: str
@@ -107,7 +125,7 @@ def can_convert_bd(lam, lam_prime, with_map=True):
     for name, ok in checks:
         if not ok:
             return Decision(convertible=False,
-                            reason=f"{name} increases from source to target",
+                            reason=_INCREASES[name],
                             violated_monotone=name,
                             source_monotones=m_src, target_monotones=m_dst)
     rmat = synthesize_map(lam, lam_prime) if with_map else None

@@ -4,9 +4,17 @@ Every two-qubit state falls into one of three classes: separable (positive
 partial transpose), equivalent under invertible local filters to a unique
 ordered Bell-diagonal state, or equivalent to the rank-deficient rho_nd(b)
 family whose Bell-diagonal representative is only reached in the
-quasi-distillation limit.  The Bell-diagonal representative is found by
-alternately filtering each marginal toward I/2; rank-deficient inputs make
-the filters blow up, which is the classifier's branch signal.
+quasi-distillation limit.
+
+The representative comes in closed form.  Under local filters the
+correlation matrix R_ij = tr[rho s_i x s_j] moves as c L_A R L_B^T with
+proper Lorentz L_A, L_B, so M = eta R eta R^T (eta = diag(1, -1, -1, -1))
+moves by similarity.  Its spectrum c^2 (1, t1^2, t2^2, t3^2) and the sign of
+det R give the representative's correlations t; the rank-deficient class is
+the one where M is not diagonalizable (Verstraete, Dehaene and De Moor,
+PRA 65, 032308 (2002)).  `filter_iteration`, which drives both marginals to
+I/2 by alternating local filters (Kent, Linden and Massar, PRL 83, 2656
+(1999)), is kept as an independent oracle.
 """
 
 from __future__ import annotations
@@ -14,15 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
-from .bell import PAULI_Y
+from .bell import PAULI_Y, PAULIS
 from .convert import Decision, can_convert_bd
-from .numerics import NumericsError, partial_trace, partial_transpose
-
-
-class InvalidStateError(NumericsError):
-    pass
+from .numerics import (TOL, InvalidStateError, NumericsError, partial_trace,
+                       partial_transpose)
 
 
 class SeparableInputError(NumericsError):
@@ -30,6 +34,8 @@ class SeparableInputError(NumericsError):
 
 
 _YY = np.kron(PAULI_Y, PAULI_Y)
+_SIGMA_PAIRS = np.array([[np.kron(a, b) for b in PAULIS] for a in PAULIS])
+_ETA = np.diag([1.0, -1.0, -1.0, -1.0])
 
 
 def concurrence(rho):
@@ -82,10 +88,14 @@ def filter_iteration(rho, max_iter=500, tol=1e-10, blowup_tol=1e-9,
                      omega=1.5):
     """Drive both single-qubit marginals to I/2 by alternating local filters.
 
-    Returns the filtered state, whether both marginals reached I/2 within
-    `tol`, and the number of filter sweeps performed.  Non-convergence
-    (filter blow-up, a marginal eigenvalue below `blowup_tol`, or the sweep
-    cap) signals a rank-deficient SLOCC class.
+    An independent oracle for the closed form behind `classify`: on
+    convergence the descending eigenvalues of the filtered state are the
+    Bell-diagonal weights.  Returns the filtered state, whether both
+    marginals reached I/2 within `tol`, and the number of filter sweeps
+    performed.  It stops early on filter blow-up (a marginal eigenvalue
+    below `blowup_tol`), which the rank-deficient class causes, but slowly
+    converging Bell-diagonal-class states (near rank 2) can also exhaust the
+    sweeps, so non-convergence is not a class signal.
     """
     rho = _validate_state(rho)
     half = np.eye(2) / 2.0
@@ -117,143 +127,100 @@ def filter_iteration(rho, max_iter=500, tol=1e-10, blowup_tol=1e-9,
     return FilterResult(rho, False, max_iter, float(dev))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NormalFormResult:
     kind: str                      # 'separable' | 'bell_diagonal' | 'nd_class'
-    weights: np.ndarray | None = None   # ordered, for bell_diagonal
+    # ordered weights of the Bell-diagonal representative; for nd_class the
+    # quasi-distillation target ((1+2b)/2, (1-2b)/2, 0, 0)
+    weights: np.ndarray | None = None
     b: float | None = None              # for nd_class
-    approximate_b: bool = False
-    iterations: int = 0
-    marginal_deviation: float = 0.0
 
 
-def _product_kernel_vector(rho, rank_tol=1e-9):
-    """A kernel vector if it is a product state (Schmidt rank 1), else None."""
-    w, v = np.linalg.eigh(rho)
-    kernel = [v[:, k] for k in range(4) if w[k] < rank_tol]
-    for vec in kernel:
-        s = np.linalg.svd(vec.reshape(2, 2), compute_uv=False)
-        if s[1] < 1e-8:
-            return vec
-    return None
+def _lorentz_normal_form(rho):
+    """(ordered Bell weights, whether M = eta R eta R^T has a Jordan block).
 
-
-def _structural_b(rho, rank_tol=1e-9):
-    """Exact b when rho is local-unitarily equivalent to rho_nd(b).
-
-    The family's spectrum is (0, (1-2b)/4, (1+2b)/4, 1/2), invariant under
-    local unitaries, and its kernel vector is a product state.
+    Eigenvalues of M that agree within c = TOL.lorentz relative to |M| form
+    a cluster.  A cluster of size k of a diagonalizable M leaves M - mu I
+    with rank 4 - k, so a (4 - k)-th singular value above c |M| marks a
+    Jordan block.  Its eigenvalues split by about sqrt(machine epsilon)
+    times the filters' conditioning and are replaced by their mean, which is
+    exact to rounding; those of a diagonalizable cluster are accurate as
+    they stand.
     """
-    w = np.sort(np.linalg.eigvalsh(rho))
-    if w[0] > rank_tol:
-        return None
-    if abs(w[3] - 0.5) > 1e-8 or abs(w[1] + w[2] - 0.5) > 1e-8:
-        return None
-    if _product_kernel_vector(rho, rank_tol) is None:
-        return None
-    b = float(w[2] - w[1])
-    if not 0.0 < b <= 0.5 + 1e-12:
-        return None
-    return min(b, 0.5)
+    R = np.einsum("ijkl,lk->ij", _SIGMA_PAIRS, rho).real
+    M = _ETA @ R @ _ETA @ R.T
+    slack = TOL.lorentz * np.linalg.norm(M)
+    mu = np.linalg.eigvals(M)
+    mu = mu[np.argsort(-mu.real)]
+    clusters = [[0]]
+    for k in range(1, 4):
+        if abs(mu[k] - mu[k - 1]) <= slack:
+            clusters[-1].append(k)
+        else:
+            clusters.append([k])
+    jordan = False
+    for idx in clusters:
+        if len(idx) > 1:
+            m = mu[idx].mean()
+            s = np.linalg.svd(M - m.real * np.eye(4), compute_uv=False)
+            if s[4 - len(idx)] > slack:
+                jordan = True
+                mu[idx] = m
+    mu = mu.real
+    t = np.sqrt(np.clip(mu[1:] / mu[0], 0.0, None))
+    if np.linalg.det(R) < 0:
+        t[0] = -t[0]
+    t1, t2, t3 = t
+    lam = np.array([1 + t1 - t2 + t3, 1 - t1 + t2 + t3,
+                    1 + t1 + t2 - t3, 1 - t1 - t2 - t3]) / 4.0
+    lam = np.clip(np.sort(lam)[::-1], 0.0, None)
+    return lam / lam.sum(), jordan
 
 
-def _filtered(rho, x):
-    F = (x[0:4] + 1j * x[4:8]).reshape(2, 2)
-    G = (x[8:12] + 1j * x[12:16]).reshape(2, 2)
-    K = np.kron(F, G)
-    out = K @ rho @ K.conj().T
-    t = np.trace(out).real
-    return out / t if t > 1e-14 else None
-
-
-def estimate_b_by_ascent(rho, restarts=100, rng=None, maxiter=2000):
-    """b = half the concurrence supremum over invertible product filters.
-
-    The supremum is approached, not attained (quasi-distillation), so the
-    estimate is approximate; restarts are independent and seeded.
-    """
-    rng = rng if isinstance(rng, np.random.Generator) \
-        else np.random.default_rng(rng)
-
-    def objective(x):
-        out = _filtered(rho, x)
-        return 0.0 if out is None else -concurrence(out)
-
-    best = 0.0
-    for _ in range(restarts):
-        x0 = rng.normal(size=16)
-        res = minimize(objective, x0, method="Nelder-Mead",
-                       options=dict(maxiter=maxiter, xatol=1e-10,
-                                    fatol=1e-12))
-        best = max(best, -res.fun)
-    return min(best / 2.0, 0.5)
-
-
-def classify(rho, estimate_b=True, b_restarts=100, rng=None):
+def classify(rho, *, estimate_b=None, rng=None):
     """Three-way SLOCC classification of a two-qubit state.
 
-    Separable iff PPT; otherwise filter toward the Bell-diagonal normal form
-    (weights = descending eigenvalues of the converged state); filter
-    blow-up means the rank-deficient class, whose parameter b is read off
-    exactly for local-unitary images of the canonical family and otherwise
-    estimated by concurrence ascent (pass estimate_b=False to skip and
-    return b=None).
+    Separable iff PPT.  Otherwise the Lorentz normal form gives the ordered
+    weights of the Bell-diagonal representative, and a Jordan block in M
+    marks the rank-deficient class, whose representative is the
+    quasi-distillation target with b = (lambda_1 - lambda_2) / 2.
+    `estimate_b` and `rng` are accepted and ignored, for existing callers:
+    b is exact and nothing is random.
     """
     rho = _validate_state(rho)
     if is_ppt(rho):
         return NormalFormResult(kind="separable")
-    result = filter_iteration(rho)
-    if result.converged:
-        lam = np.sort(np.linalg.eigvalsh(result.state))[::-1]
-        lam = np.clip(lam, 0.0, None)
-        lam = lam / lam.sum()
-        return NormalFormResult(kind="bell_diagonal", weights=lam,
-                                iterations=result.iterations,
-                                marginal_deviation=result.marginal_deviation)
-    b = _structural_b(rho)
-    if b is not None:
-        return NormalFormResult(kind="nd_class", b=b, approximate_b=False,
-                                iterations=result.iterations,
-                                marginal_deviation=result.marginal_deviation)
-    if not estimate_b:
-        return NormalFormResult(kind="nd_class", b=None, approximate_b=True,
-                                iterations=result.iterations,
-                                marginal_deviation=result.marginal_deviation)
-    b = estimate_b_by_ascent(rho, restarts=b_restarts, rng=rng)
-    return NormalFormResult(kind="nd_class", b=b, approximate_b=True,
-                            iterations=result.iterations,
-                            marginal_deviation=result.marginal_deviation)
+    lam, jordan = _lorentz_normal_form(rho)
+    if jordan:
+        return NormalFormResult(kind="nd_class", weights=lam,
+                                b=float(lam[0] - lam[1]) / 2.0)
+    return NormalFormResult(kind="bell_diagonal", weights=lam)
 
 
-def bd_equivalent(rho, **kwargs):
+def bd_equivalent(rho):
     """Ordered weights of the unique SLOCC-equivalent Bell-diagonal state.
 
     For the rank-deficient class this is the quasi-distillation target
     ((1+2b)/2, (1-2b)/2, 0, 0), reached only in the limit.
     """
-    result = classify(rho, **kwargs)
+    result = classify(rho)
     if result.kind == "separable":
         raise SeparableInputError("separable states have no entangled "
                                   "Bell-diagonal equivalent")
-    if result.kind == "bell_diagonal":
-        return result.weights
-    b = result.b
-    return np.array([(1 + 2 * b) / 2.0, (1 - 2 * b) / 2.0, 0.0, 0.0])
+    return result.weights
 
 
-def can_convert_two_qubit(rho, rho_prime, **kwargs):
+def can_convert_two_qubit(rho, rho_prime):
     """Full two-qubit SLOCC convertibility decision.
 
     Yes whenever the target is separable (discard and prepare); no when the
     source is separable and the target entangled; otherwise the decision of
     the Bell-diagonal representatives.
     """
-    rho = _validate_state(rho)
-    rho_prime = _validate_state(rho_prime)
-    if is_ppt(rho_prime):
+    src, dst = classify(rho), classify(rho_prime)
+    if dst.kind == "separable":
         return Decision(convertible=True, reason="target separable")
-    if is_ppt(rho):
+    if src.kind == "separable":
         return Decision(convertible=False,
                         reason="separable source, entangled target")
-    return can_convert_bd(bd_equivalent(rho, **kwargs),
-                          bd_equivalent(rho_prime, **kwargs))
+    return can_convert_bd(src.weights, dst.weights)

@@ -29,6 +29,10 @@ class DegenerateInputError(NumericsError):
     pass
 
 
+class InvalidStateError(NumericsError):
+    """A density matrix or r-matrix that breaks its state invariants."""
+
+
 @dataclass(frozen=True)
 class Tolerances:
     """Central tolerance record.
@@ -38,12 +42,16 @@ class Tolerances:
     hermiticity -- max |M - M^dag| entry accepted as Hermitian
     lp          -- feasibility tolerance handed to the LP solver (the HiGHS
                    backend rejects values below 1e-10)
+    lorentz     -- relative slack within which eigenvalues of the Lorentz
+                   matrix eta R eta R^T count as one, and above which a
+                   cluster's defect marks a Jordan block (rank-deficient class)
     """
 
     equality: float = 1e-10
     psd_slack: float = -1e-9
     hermiticity: float = 1e-12
     lp: float = 1e-10
+    lorentz: float = 1e-6
 
 
 TOL = Tolerances()
@@ -142,12 +150,6 @@ class Outside:
 
     def value(self, point):
         return float(np.dot(self.normal, point) + self.offset)
-
-
-@dataclass(frozen=True)
-class LpProblem:
-    vertices: np.ndarray  # (n, d)
-    query: np.ndarray     # (d,)
 
 
 def convex_membership(vertices, query):

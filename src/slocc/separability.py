@@ -17,8 +17,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numerics import (NumericsError, Inside, Outside, convex_membership,
-                       is_hermitian, NonHermitianError)
+from .numerics import (NumericsError, Inside, InvalidStateError, Outside,
+                       convex_membership, is_hermitian, NonHermitianError)
 from .symmetric import QubitOrdering, assemble
 
 __all__ = [
@@ -27,10 +27,6 @@ __all__ = [
     "is_separable", "validate_rmatrix", "seesaw_min_product",
     "verify_extension_certificate_W2", "symmetric_subspace_projector",
 ]
-
-
-class InvalidStateError(NumericsError):
-    pass
 
 
 class InternalInconsistencyError(NumericsError):

@@ -262,7 +262,7 @@ def test_criterion_9_normal_form():
         A = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
         rho = A @ A.conj().T
         rho /= np.trace(rho).real
-        c = classify(rho, estimate_b=False)
+        c = classify(rho)
         if (c.kind == "separable") != is_ppt(rho):
             bad += 1
     ok = worst_iter <= 200 and worst_dev < 1e-10 and worst_inv < 1e-6 \

@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from slocc.bell import weights_to_density
 from slocc.choi import rho_nd, rho_nd_prime
@@ -80,27 +84,25 @@ def test_classify_nd_structural():
     for b in (0.1, 0.3, 0.5):
         res = classify(rho_nd(b))
         assert res.kind == "nd_class"
-        assert not res.approximate_b
         assert abs(res.b - b) < 1e-10
 
 
 def test_classify_nd_without_estimation():
-    # the structural read-off is free and still runs; only the optimization
-    # fallback is skipped
+    # estimate_b is accepted and ignored: b is exact on every nd input
     res = classify(rho_nd(0.2), estimate_b=False)
-    assert res.kind == "nd_class" and abs(res.b - 0.2) < 1e-10
+    assert res.kind == "nd_class" and abs(res.b - 0.2) <= 1e-10
     rng = np.random.default_rng(64)
     F = _random_filter(rng, max_cond=3.0)
     K = np.kron(F, np.eye(2))
     rho = K @ rho_nd(0.2) @ K.conj().T
     rho /= np.trace(rho).real
     res = classify(rho, estimate_b=False)
-    assert res.kind == "nd_class" and res.b is None and res.approximate_b
+    assert res.kind == "nd_class" and abs(res.b - 0.2) <= 1e-10
 
 
 def test_classify_nd_filtered_needs_optimization():
-    # a local filter breaks the structural spectrum signature but not the
-    # class; the optimization path recovers b approximately
+    # a local filter breaks the spectrum of rho_nd(b) but not the class;
+    # the Lorentz normal form still gives b exactly, with no optimization
     rng = np.random.default_rng(62)
     b = 0.25
     F = _random_filter(rng, max_cond=3.0)
@@ -108,9 +110,105 @@ def test_classify_nd_filtered_needs_optimization():
     K = np.kron(F, G)
     rho = K @ rho_nd(b) @ K.conj().T
     rho /= np.trace(rho).real
-    res = classify(rho, b_restarts=20, rng=0)
-    assert res.kind == "nd_class" and res.approximate_b
-    assert abs(res.b - b) < 1e-3
+    res = classify(rho)
+    assert res.kind == "nd_class"
+    assert abs(res.b - b) <= 1e-10
+
+
+def _random_unitary(rng):
+    q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _twist(rho, F, G):
+    K = np.kron(F, G)
+    out = K @ rho @ K.conj().T
+    return out / np.trace(out).real
+
+
+@pytest.mark.parametrize("b", [0.05, 0.2, 0.45, 0.5])
+def test_classify_nd_exact_b_under_unitaries_and_filters(b):
+    rng = np.random.default_rng(65)
+    for make in (_random_unitary, lambda g: _random_filter(g, max_cond=5.0)):
+        for _ in range(10):
+            res = classify(_twist(rho_nd(b), make(rng), make(rng)))
+            assert res.kind == "nd_class"
+            assert abs(res.b - b) <= 1e-10
+            assert np.abs(res.weights - [(1 + 2 * b) / 2, (1 - 2 * b) / 2,
+                                         0.0, 0.0]).max() <= 1e-10
+
+
+def test_classify_near_rank2_filtered_bell_diagonal():
+    # the filter iteration exhausts its sweeps on these, so filter
+    # non-convergence cannot be the class signal
+    rng = np.random.default_rng(66)
+    for _ in range(20):
+        head = rng.uniform(0.55, 0.95)
+        tail = rng.uniform(1e-4, 2e-3) * np.array([0.6, 0.4])
+        lam = np.concatenate((np.array([head, 1 - head]) * (1 - tail.sum()),
+                              tail))
+        rho = _twist(weights_to_density(rng.permutation(lam)),
+                     _random_filter(rng, 5.0), _random_filter(rng, 5.0))
+        res = classify(rho)
+        assert res.kind == "bell_diagonal"
+        assert np.abs(res.weights - np.sort(lam)[::-1]).max() <= 1e-8
+
+
+@pytest.mark.parametrize("seed", [575, 604])
+def test_classify_slow_filter_rank3_states(seed):
+    # 500 filter sweeps are not enough here; 5000 converge in about 600
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
+    rho = A @ A.conj().T
+    rho /= np.trace(rho).real
+    res = classify(rho)
+    oracle = filter_iteration(rho, max_iter=5000)
+    assert res.kind == "bell_diagonal" and oracle.converged
+    back = np.sort(np.linalg.eigvalsh(oracle.state))[::-1]
+    assert np.abs(res.weights - back).max() <= 1e-10
+
+
+@pytest.mark.parametrize("lam", [
+    [1.0, 0, 0, 0], [0.7, 0.3, 0, 0], [0.5 + 1e-6, 0.5 - 1e-6, 0, 0],
+    [0.6, 0.2, 0.2, 0.0],
+    *([0.6, 0.15 + gap, 0.15, 0.1 - gap]
+      for gap in (1e-12, 1e-9, 1e-7, 1e-5))])
+def test_classify_degenerate_bell_diagonal_filtered(lam):
+    # equal or nearly equal Lorentz values of a Bell-diagonal-class state
+    # form a diagonalizable cluster, not a Jordan block
+    rng = np.random.default_rng(67)
+    for _ in range(10):
+        rho = _twist(weights_to_density(rng.permutation(lam)),
+                     _random_filter(rng, 10.0), _random_filter(rng, 10.0))
+        res = classify(rho)
+        assert res.kind == "bell_diagonal"
+        assert np.abs(res.weights - np.sort(lam)[::-1]).max() <= 1e-8
+
+
+@pytest.mark.parametrize("excess", [1e-3, 1e-5, 1e-7])
+def test_classify_at_ppt_boundary(excess):
+    rng = np.random.default_rng(70)
+    for sign, kind in ((1, "bell_diagonal"), (-1, "separable")):
+        lam = np.array([0.5 + sign * excess, 0.3 - sign * excess, 0.15,
+                        0.05])
+        for _ in range(10):
+            rho = _twist(weights_to_density(rng.permutation(lam)),
+                         _random_filter(rng, 5.0), _random_filter(rng, 5.0))
+            res = classify(rho)
+            assert res.kind == kind
+            if kind == "bell_diagonal":
+                assert np.abs(res.weights - lam).max() <= 1e-10
+
+
+def test_classify_sign_of_det_r():
+    # every Bell labelling has the same weights but its own sign pattern of
+    # the correlations; the closed form must undo each one
+    lam = np.array([0.6, 0.2, 0.15, 0.05])
+    rng = np.random.default_rng(68)
+    for perm in itertools.permutations(range(4)):
+        rho = _twist(weights_to_density(lam[list(perm)]),
+                     _random_filter(rng, 3.0), _random_filter(rng, 3.0))
+        assert np.abs(bd_equivalent(rho) - lam).max() <= 1e-10
 
 
 def test_classify_pure_entangled_is_bell_diagonal():
@@ -128,7 +226,7 @@ def test_bd_equivalent_invariance():
         K = np.kron(_random_filter(rng), _random_filter(rng))
         twisted = K @ rho @ K.conj().T
         twisted /= np.trace(twisted).real
-        assert np.abs(bd_equivalent(twisted) - lam).max() < 1e-6
+        assert np.abs(bd_equivalent(twisted) - lam).max() < 1e-10
 
 
 def test_bd_equivalent_nd_target():
@@ -154,3 +252,40 @@ def test_validation():
         classify(np.eye(4))  # trace 4
     with pytest.raises(InvalidStateError):
         classify(np.diag([1.5, -0.5, 0.0, 0.0]))
+
+
+_unit = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+@st.composite
+def _filters(draw, max_cond=10.0):
+    """A complex 2x2 filter with condition number at most `max_cond`."""
+    x = draw(st.lists(_unit, min_size=8, max_size=8))
+    F = np.eye(2) + np.reshape(np.array(x[:4]) + 1j * np.array(x[4:]), (2, 2))
+    s = np.linalg.svd(F, compute_uv=False)
+    assume(s[1] > 0 and s[0] / s[1] <= max_cond)
+    return F
+
+
+@st.composite
+def _entangled_weights(draw):
+    head = draw(st.floats(0.55, 0.999))
+    tail = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=3,
+                                  max_size=3)))
+    assume(tail.sum() > 0)
+    lam = np.concatenate(([head], (1 - head) * np.sort(tail)[::-1]
+                          / tail.sum()))
+    return lam, draw(st.permutations(range(4)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_entangled_weights(), _filters(), _filters())
+def test_bd_equivalent_filter_invariant_and_matches_oracle(weights, F, G):
+    lam, labels = weights
+    rho = _twist(weights_to_density(lam[list(labels)]), F, G)
+    got = bd_equivalent(rho)
+    assert np.abs(got - lam).max() <= 1e-8
+    oracle = filter_iteration(rho)
+    if oracle.converged:
+        back = np.sort(np.linalg.eigvalsh(oracle.state))[::-1]
+        assert np.abs(got - back).max() <= 1e-8
