@@ -244,11 +244,14 @@ def cmd_separable(args):
               file=sys.stderr)
         return EXIT_ERROR
     w = cert.witness
-    _emit(args, ["ENTANGLED",
-                 f"witness family: {w.family}",
-                 f"row perm: {list(w.row_perm)}  col perm: {list(w.col_perm)}",
-                 f"value: {_fmt(value)}"],
+    lines = ["ENTANGLED", f"witness family: {w.family}"]
+    if w.transposed:
+        lines.append("transposed: true")
+    lines += [f"row perm: {list(w.row_perm)}  col perm: {list(w.col_perm)}",
+              f"value: {_fmt(value)}"]
+    _emit(args, lines,
           {"separable": False, "family": w.family,
+           "transposed": w.transposed,
            "row_perm": list(w.row_perm), "col_perm": list(w.col_perm),
            "value": float(value)})
     return EXIT_NO
@@ -334,10 +337,28 @@ def _selfcheck_items(seed):
                 return False, f"disagreement at {lam} -> {lam_p}"
         return True, "200 sampled pairs agree"
 
+    def maps_vs_separability():
+        # synthesize_map certifies its maps by construction; is_separable
+        # is the independent check
+        local = np.random.default_rng(int(seeds[6]))
+        checked = 0
+        while checked < 50:
+            lam = _random_ordered_entangled(local)
+            lam_p = _random_ordered_entangled(local)
+            r = can_convert_bd(lam, lam_p).rmatrix
+            if r is None:
+                continue
+            if not isinstance(is_separable(r / r.sum()), ConvexDecomposition):
+                return False, f"map for {lam} -> {lam_p} not separable"
+            checked += 1
+        return True, "50 synthesized maps separable"
+
     return [("witness see-saw", seesaw_suite),
             ("W2 extension certificate", w2_certificate),
             ("quasi-reverse map", quasi_reverse),
-            ("monotones vs LP oracle", monotone_vs_lp)]
+            ("monotones vs LP oracle", monotone_vs_lp),
+            ("synthesized maps vs separability oracle",
+             maps_vs_separability)]
 
 
 def _random_ordered_entangled(rng):

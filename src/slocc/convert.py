@@ -13,19 +13,25 @@ Conversion lam -> lam' is possible iff every E_i is non-increasing.  Ratios
 are kept as (numerator, denominator) pairs and compared by
 cross-multiplication, so vanishing denominators (pure Bell states) need no
 special casing.
+
+A YES comes with an r-matrix built as a nonnegative sum of nine generating
+maps, each a vertex of the separable polytope (`separability.vertex_set()`),
+so its separability certificate is built along with it and checked by
+reconstruction; no second LP is solved.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .bell import (is_entangled_bd, is_ordered, validate_weights,
                    weights_to_coords)
-from .numerics import Inside, NumericsError, convex_membership
-from .separability import is_separable, ConvexDecomposition
+from .numerics import TOL, Inside, NumericsError, convex_membership
+from .separability import _vertex_array, vertex_set
 
 
 class NotOrderedError(NumericsError):
@@ -137,30 +143,47 @@ def can_convert_bd(lam, lam_prime, with_map=True):
 _TAIL_PERMS = tuple((0,) + p for p in itertools.permutations((1, 2, 3)))
 
 
-def _labelled_vertices(lam):
-    """(vertex weight vector, generating r-matrix, success weight) triples."""
-    lam = _require_ordered_entangled(lam)
-    out = []
+@lru_cache(maxsize=1)
+def _generating_maps():
+    """The nine generating r-matrices, each with its index in vertex_set().
+
+    A tail permutation is 1/4 times a permutation matrix (a D0-orbit vertex),
+    a half-half map a block of 1/4 (a G0-orbit vertex).  Neither depends on
+    lam.
+    """
+    maps = []
     for perm in _TAIL_PERMS:
-        vec = lam[list(perm)]
         r = np.zeros((4, 4))
         # vec_i = lam[perm[i]]: weight moves from Bell perm[i] to Bell i
         for i in range(4):
             r[i, perm[i]] = 0.25
-        out.append((vec, r, 0.25))
+        maps.append(r)
     for i in (1, 2, 3):
+        r = np.zeros((4, 4))
+        r[np.ix_((0, i), (0, 1))] = 0.25  # block prepares (Phi_1 + Phi_{i+1})/2
+        maps.append(r)
+    index = {v.tobytes(): j for j, v in enumerate(vertex_set())}
+    return tuple((r, index[r.tobytes()]) for r in maps)
+
+
+def _labelled_vertices(lam):
+    """(vertex weight vector, generating r-matrix, success weight, index of
+    the r-matrix in vertex_set()) for each of the nine generating maps."""
+    lam = _require_ordered_entangled(lam)
+    maps = _generating_maps()
+    out = [(lam[list(perm)], r, 0.25, j)
+           for perm, (r, j) in zip(_TAIL_PERMS, maps)]
+    for i, (r, j) in zip((1, 2, 3), maps[len(_TAIL_PERMS):]):
         vec = np.zeros(4)
         vec[0] = 0.5
         vec[i] = 0.5
-        r = np.zeros((4, 4))
-        r[np.ix_((0, i), (0, 1))] = 0.25  # block prepares (Phi_1 + Phi_{i+1})/2
-        out.append((vec, r, float(lam[0] + lam[1]) / 2.0))
+        out.append((vec, r, float(lam[0] + lam[1]) / 2.0, j))
     return out
 
 
 def plambda_vertices(lam):
     """Deduplicated vertex list of the reachable polytope (up to 9 vectors)."""
-    verts = [v for v, _, _ in _labelled_vertices(lam)]
+    verts = [v for v, _, _, _ in _labelled_vertices(lam)]
     unique = []
     for v in verts:
         if not any(np.abs(v - u).max() <= 1e-12 for u in unique):
@@ -234,28 +257,36 @@ def facet_inequalities(lam):
 def synthesize_map(lam, lam_prime):
     """An explicit separable-cone r-matrix realizing lam -> lam'.
 
-    Decomposes lam' over the reachable polytope's vertices, maps each vertex
-    to its generating vertex r-matrix, and reweights so the unnormalized
-    images align: r lam / ||r lam||_1 = lam'.  The result lies in the cone
-    over the separable polytope (certified by LP on the normalized matrix).
+    Decomposes lam' over the reachable polytope's vertices (one 9-vertex
+    LP), maps each vertex to its generating vertex r-matrix, and reweights
+    so the unnormalized images align: r lam / ||r lam||_1 = lam'.  Every
+    generating r-matrix is a vertex of the separable polytope, so the same
+    weights, normalized, form a ConvexDecomposition of r / sum(r) over
+    vertex_set(): the map is certified by construction, and the certificate
+    is checked by rebuilding r from it, not by a second LP.
     """
     lam = _require_ordered_entangled(lam)
     lam_prime = _require_ordered_entangled(lam_prime)
     labelled = _labelled_vertices(lam)
-    V = np.stack([v for v, _, _ in labelled])
+    V = np.stack([v for v, _, _, _ in labelled])
     membership = convex_membership(V, lam_prime)
     if not isinstance(membership, Inside):
         raise NotConvertibleError(f"{lam_prime} outside the reachable polytope")
     r_total = np.zeros((4, 4))
-    for c, (_, r, w) in zip(membership.coefficients, labelled):
+    weights = np.zeros(len(vertex_set()))
+    for c, (_, r, w, j) in zip(membership.coefficients, labelled):
         if c > 1e-14:
             r_total += (c / w) * r
-    # self-checks: action reproduces the target, cone membership certified
+            weights[j] += c / w
+    # self-checks: action reproduces the target, and the vertex weights
+    # rebuild the normalized map (its separability certificate)
     image = r_total @ lam
     image = image / image.sum()
-    if np.abs(image - lam_prime).max() > 1e-10:
+    if np.abs(image - lam_prime).max() > TOL.equality:
         raise NotConvertibleError("synthesized map fails to reproduce target")
-    cert = is_separable(r_total / r_total.sum())
-    if not isinstance(cert, ConvexDecomposition):
+    weights /= weights.sum()
+    rebuilt = np.tensordot(weights, _vertex_array(), axes=1)
+    if weights.min() < 0 or \
+            np.abs(rebuilt - r_total / r_total.sum()).max() > TOL.equality:
         raise NotConvertibleError("synthesized map not in the separable cone")
     return r_total

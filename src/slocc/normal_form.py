@@ -58,7 +58,7 @@ def _validate_state(rho, psd_slack=-1e-9, trace_tol=1e-10):
     return rho
 
 
-def is_ppt(rho, tol=-1e-10):
+def is_ppt(rho, tol=TOL.ppt):
     """Positive partial transpose: exact separability test for two qubits."""
     pt = partial_transpose(rho, (2, 2), 1)
     return bool(np.linalg.eigvalsh(pt).min() >= tol)

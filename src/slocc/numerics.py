@@ -1,16 +1,17 @@
 """Dense linear-algebra helpers and a certified convex-membership oracle.
 
-Everything here is pure: no global mutable state, safe for concurrent use.
+Everything here is pure: no global mutable state, safe for concurrent use,
+except that an LP solve holds a warnings filter while it runs (`_linprog`).
 All matrices are plain ``numpy`` arrays; tolerances are collected in a single
 :class:`Tolerances` record so the test suite has one tuning point.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 
 class NumericsError(Exception):
@@ -45,6 +46,8 @@ class Tolerances:
     lorentz     -- relative slack within which eigenvalues of the Lorentz
                    matrix eta R eta R^T count as one, and above which a
                    cluster's defect marks a Jordan block (rank-deficient class)
+    ppt         -- most negative partial-transpose eigenvalue still counted
+                   as PPT (separable) for a two-qubit state
     """
 
     equality: float = 1e-10
@@ -52,12 +55,34 @@ class Tolerances:
     hermiticity: float = 1e-12
     lp: float = 1e-10
     lorentz: float = 1e-6
+    ppt: float = -1e-10
 
 
 TOL = Tolerances()
 
 _LP_OPTIONS = {"primal_feasibility_tolerance": TOL.lp,
                "dual_feasibility_tolerance": TOL.lp}
+# HiGHS drops constraint entries below its `small_matrix_value`, 1e-9, so a
+# hull whose vertices hold coordinates in (1e-10, 1e-9) read as infeasible.
+# Its minimum, 1e-12, is safe (smaller entries move a convex combination by
+# less than TOL.lp) but costs about 0.15 ms a solve, so it is set only for
+# hulls that have such entries.
+_HIGHS_SMALL_ENTRY = 1e-9
+_LP_OPTIONS_SMALL_ENTRIES = dict(_LP_OPTIONS, small_matrix_value=1e-12)
+
+
+def _linprog(*args, options, **kwargs):
+    """scipy's HiGHS linprog.
+
+    scipy is imported on the first call, so paths that solve no LP never
+    load it.  scipy forwards `small_matrix_value` to HiGHS unchecked and
+    warns that it did; that warning is silenced.
+    """
+    from scipy.optimize import OptimizeWarning, linprog
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "Unrecognized options",
+                                OptimizeWarning)
+        return linprog(*args, method="highs", options=options, **kwargs)
 
 
 def is_hermitian(M, tol=TOL.hermiticity):
@@ -167,11 +192,13 @@ def convex_membership(vertices, query):
     if not (np.isfinite(V).all() and np.isfinite(q).all()):
         raise DegenerateInputError("non-finite values in vertices or query")
     n, d = V.shape
+    small = np.any((V != 0) & (np.abs(V) < _HIGHS_SMALL_ENTRY))
+    options = _LP_OPTIONS_SMALL_ENTRIES if small else _LP_OPTIONS
 
     A_eq = np.vstack([V.T, np.ones(n)])
     b_eq = np.concatenate([q, [1.0]])
-    res = linprog(np.zeros(n), A_eq=A_eq, b_eq=b_eq,
-                  bounds=[(0, None)] * n, method="highs", options=_LP_OPTIONS)
+    res = _linprog(np.zeros(n), A_eq=A_eq, b_eq=b_eq, bounds=[(0, None)] * n,
+                   options=options)
     if res.status == 0:
         return Inside(coefficients=res.x)
 
@@ -180,9 +207,8 @@ def convex_membership(vertices, query):
     # optimum is < 0 exactly when the query is outside the hull.
     Vt = np.hstack([V, np.ones((n, 1))])
     qt = np.concatenate([q, [1.0]])
-    sep = linprog(qt, A_ub=-Vt, b_ub=np.zeros(n),
-                  bounds=[(-1, 1)] * (d + 1), method="highs",
-                  options=_LP_OPTIONS)
+    sep = _linprog(qt, A_ub=-Vt, b_ub=np.zeros(n), bounds=[(-1, 1)] * (d + 1),
+                   options=options)
     h = sep.x
     # Clean up solver slack so the vertex-side inequality holds exactly.
     slack = float((Vt @ h).min())

@@ -69,10 +69,14 @@ for _w in CANONICAL_WITNESSES.values():
 
 @dataclass(frozen=True)
 class Witness:
+    """matrix = base[row_perm][:, col_perm], base the canonical family
+    witness or, if `transposed`, its transpose."""
+
     matrix: np.ndarray
     family: str
     row_perm: tuple
     col_perm: tuple
+    transposed: bool = False
 
 
 @dataclass(frozen=True)
@@ -107,15 +111,30 @@ def vertex_set():
 
 
 @lru_cache(maxsize=1)
-def witness_orbit():
-    """All distinct row/column permutations of the canonical witnesses.
+def _vertex_array():
+    """vertex_set() stacked into one read-only (60, 4, 4) array."""
+    out = np.stack(vertex_set())
+    out.setflags(write=False)
+    return out
 
-    Scan order is cheapest-first: W0 (positivity), W1 (PPT), then W2..W4.
+
+@lru_cache(maxsize=1)
+def witness_orbit():
+    """All distinct row/column permutations of the canonical witnesses and of
+    the transposes of W2..W4.
+
+    The vertex set is closed under transposition, so a transposed witness is
+    as valid as its original; W0 and W1 need none (their orbits already are).
+    Scan order is cheapest-first: W0 (positivity), W1 (PPT), then W2..W4,
+    then the transposed W2..W4.
     """
     out = []
-    for family in ("W0", "W1", "W2", "W3", "W4"):
+    seen = set()
+    for family, transposed in ([(f, False) for f in CANONICAL_WITNESSES]
+                               + [(f, True) for f in ("W2", "W3", "W4")]):
         base = CANONICAL_WITNESSES[family]
-        seen = set()
+        if transposed:
+            base = base.T
         for rp in itertools.permutations(range(4)):
             for cp in itertools.permutations(range(4)):
                 w = base[np.ix_(rp, cp)]
@@ -125,7 +144,8 @@ def witness_orbit():
                     w = w.copy()
                     w.setflags(write=False)
                     out.append(Witness(matrix=w, family=family,
-                                       row_perm=rp, col_perm=cp))
+                                       row_perm=rp, col_perm=cp,
+                                       transposed=transposed))
     return tuple(out)
 
 
@@ -176,8 +196,7 @@ def is_separable(r, witness_tol=1e-10):
         violated = ViolatedWitness(witness=orbit[first],
                                    value=float(vals[first]))
 
-    verts = np.stack([v.ravel() for v in vertex_set()])
-    membership = convex_membership(verts, flat)
+    membership = convex_membership(_vertex_array().reshape(-1, 16), flat)
 
     if isinstance(membership, Inside) and violated is None:
         return ConvexDecomposition(weights=membership.coefficients)

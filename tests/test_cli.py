@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import slocc
 from slocc.choi import rho_nd
 from slocc.cli import main
+from slocc.separability import CANONICAL_WITNESSES, vertex_set
 
 
 def _write(tmp_path, name, obj):
@@ -98,6 +103,50 @@ def test_separable_bell_pair(tmp_path, capsys):
     assert main(["separable", f]) == 1
     out = capsys.readouterr().out
     assert "ENTANGLED" in out and "W1" in out and "value: -1" in out
+
+
+def test_separable_bell_pair_json(tmp_path, capsys):
+    r = np.zeros((4, 4))
+    r[3, 0] = 1.0
+    f = _write(tmp_path, "r41.json", {"kind": "rmatrix", "r": r.tolist()})
+    assert main(["--json", "separable", f]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["family"] == "W1" and data["transposed"] is False
+    assert main(["separable", f]) == 1
+    assert "transposed" not in capsys.readouterr().out
+
+
+def test_separable_transposed_witness(tmp_path, capsys):
+    # 0.999 * (centroid of the W2^T facet) + 0.001 * (the entry where W2^T
+    # is -1): only a transposed W2 witness is negative here
+    Wt = CANONICAL_WITNESSES["W2"].T
+    verts = np.stack(vertex_set())
+    r = 0.999 * verts[np.tensordot(verts, Wt, axes=2) == 0].mean(axis=0)
+    r[np.unravel_index(np.argmin(Wt), Wt.shape)] += 0.001
+    f = _write(tmp_path, "w2t.json", {"kind": "rmatrix", "r": r.tolist()})
+    assert main(["separable", f]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:3] == ["ENTANGLED", "witness family: W2", "transposed: true"]
+    assert main(["--json", "separable", f]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["family"] == "W2" and data["transposed"] is True
+    assert data["value"] < 0
+
+
+def test_no_scipy_without_an_lp(worked_pair):
+    # monotones and a NO from convert need no LP, so they never load scipy
+    src, dst = worked_pair
+    code = ("import sys\n"
+            "import slocc\n"
+            "assert 'scipy' not in sys.modules\n"
+            "from slocc.cli import main\n"
+            f"assert main(['monotones', {src!r}]) == 0\n"
+            f"assert main(['convert', {dst!r}, {src!r}]) == 1\n"
+            "assert 'scipy' not in sys.modules\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(slocc.__file__)))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                   capture_output=True)
 
 
 def test_normal_form_nd(tmp_path, capsys):

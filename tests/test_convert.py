@@ -1,12 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import slocc.convert
+import slocc.separability
 from slocc.choi import map_action_bd
-from slocc.convert import (NotEntangledError, NotOrderedError, can_convert_bd,
+from slocc.convert import (NotConvertibleError, NotEntangledError,
+                           NotOrderedError, can_convert_bd,
                            facet_inequalities, lp_oracle_membership,
                            monotones, plambda_vertices, ratio_geq,
                            synthesize_map)
 from slocc.separability import ConvexDecomposition, is_separable
+from test_acceptance import _near_facet_pair, _random_ordered_entangled
 
 LAM = np.array([0.7, 0.1, 0.1, 0.1])
 LAM_P = np.array([0.6, 0.2, 0.1, 0.1])
@@ -120,5 +126,108 @@ def test_facet_denominators_never_degenerate_when_entangled():
 
 
 def test_synthesized_map_lies_in_separable_cone():
-    r = synthesize_map(LAM, LAM_P)
+    # criterion 1's samplers, YES answers only; is_separable is the oracle
+    rng = np.random.default_rng(53)
+    checked = 0
+    while checked < 300:
+        if checked % 3:
+            lam, lam_p = (_random_ordered_entangled(rng),
+                          _random_ordered_entangled(rng))
+        else:
+            lam, lam_p = _near_facet_pair(rng)
+        if not can_convert_bd(lam, lam_p, with_map=False).convertible:
+            continue
+        r = synthesize_map(lam, lam_p)
+        image, _ = map_action_bd(r, lam)
+        assert np.abs(image - lam_p).max() < 1e-10
+        assert isinstance(is_separable(r / r.sum()), ConvexDecomposition)
+        checked += 1
+
+
+def test_yes_solves_one_lp(monkeypatch):
+    calls = []
+    original = slocc.numerics.convex_membership
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(slocc.convert, "convex_membership", counted)
+    monkeypatch.setattr(slocc.separability, "convex_membership", counted)
+    d = can_convert_bd(LAM, np.array([0.6, 0.25, 0.1, 0.05]))
+    assert d.convertible and d.rmatrix is not None
+    assert len(calls) == 1
+
+
+def test_corrupted_vertex_index_is_caught(monkeypatch):
+    # each generating map paired with the next map's vertex index
+    maps = slocc.convert._generating_maps()
+    corrupted = tuple((r, maps[(k + 1) % len(maps)][1])
+                      for k, (r, _) in enumerate(maps))
+    monkeypatch.setattr(slocc.convert, "_generating_maps", lambda: corrupted)
+    with pytest.raises(NotConvertibleError, match="separable cone"):
+        synthesize_map(np.array([0.55, 0.25, 0.15, 0.05]),
+                       np.array([0.53, 0.22, 0.15, 0.1]))
+
+
+@pytest.mark.parametrize("t", [5e-10, 2e-10, 1e-10, 2e-11])
+def test_yes_from_source_with_tiny_weight(t):
+    # HiGHS drops constraint entries below 1e-9 by default, which made this
+    # interior target (the centroid of P_lam) read as outside
+    lam = np.array([0.75, 0.25 - t, t, 0.0])
+    lam_p = np.array([6.0, 1.0, 1.0, 1.0]) / 9
+    assert lp_oracle_membership(lam, lam_p)
+    d = can_convert_bd(lam, lam_p)
+    assert d.convertible
+    image, _ = map_action_bd(d.rmatrix, lam)
+    assert np.abs(image - lam_p).max() < 1e-10
+
+
+@st.composite
+def _ordered_entangled(draw):
+    head = draw(st.floats(0.55, 0.999))
+    tail = np.sort(draw(st.lists(st.floats(0.0, 1.0), min_size=3,
+                                 max_size=3)))[::-1]
+    assume(tail.sum() > 0)
+    return np.concatenate(([head], (1 - head) * tail / tail.sum()))
+
+
+def _interior_point(draw, lam):
+    """A strictly positive mix of P_lam's vertices, tail sorted."""
+    verts = plambda_vertices(lam)
+    w = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=len(verts),
+                               max_size=len(verts))))
+    p = (w / w.sum()) @ verts
+    return np.concatenate(([p[0]], np.sort(p[1:])[::-1]))
+
+
+@st.composite
+def _yes_chain(draw):
+    lam = draw(_ordered_entangled())
+    lam1 = _interior_point(draw, lam)
+    return lam, lam1, _interior_point(draw, lam1)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_yes_chain())
+def test_convertibility_is_transitive(chain):
+    lam, lam1, lam2 = chain
+    d1, d2 = can_convert_bd(lam, lam1), can_convert_bd(lam1, lam2)
+    assume(d1.convertible and d2.convertible)
+    assert can_convert_bd(lam, lam2, with_map=False).convertible
+    r = d2.rmatrix @ d1.rmatrix
+    image, _ = map_action_bd(r, lam)
+    assert np.abs(image - lam2).max() < 1e-10
     assert isinstance(is_separable(r / r.sum()), ConvexDecomposition)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_ordered_entangled(), st.lists(st.floats(0.0, 1.0), min_size=4,
+                                      max_size=4),
+       st.permutations((1, 2, 3)))
+def test_lp_oracle_tail_permutation_symmetric(lam, raw, tail):
+    raw = np.array(raw)
+    assume(raw.sum() > 0)
+    lam_p = raw / raw.sum()
+    assert lp_oracle_membership(lam, lam_p) == \
+        lp_oracle_membership(lam, lam_p[[0, *tail]])

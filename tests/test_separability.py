@@ -12,7 +12,8 @@ from slocc.separability import (CANONICAL_WITNESSES, ConvexDecomposition, D0,
                                 z2_certificate_matrix)
 from slocc.symmetric import QubitOrdering, assemble
 
-ORBIT_SIZES = {"W0": 16, "W1": 16, "W2": 48, "W3": 288, "W4": 288}
+# W2..W4 count both the canonical witness's orbit and its transpose's
+ORBIT_SIZES = {"W0": 16, "W1": 16, "W2": 96, "W3": 576, "W4": 576}
 
 
 def test_vertex_count():
@@ -26,6 +27,43 @@ def test_witness_orbit_sizes():
     for w in witness_orbit():
         counts[w.family] = counts.get(w.family, 0) + 1
     assert counts == ORBIT_SIZES
+
+
+def test_every_witness_nonnegative_on_every_vertex():
+    W = np.stack([w.matrix for w in witness_orbit()])
+    assert np.tensordot(W, np.stack(vertex_set()), axes=([1, 2], [1, 2])).min() \
+        >= 0
+
+
+def test_transposed_witnesses_follow_the_originals():
+    orbit = witness_orbit()
+    flags = [w.transposed for w in orbit]
+    assert flags == sorted(flags) and flags.count(False) == 656
+    for w in orbit:
+        base = CANONICAL_WITNESSES[w.family]
+        base = base.T if w.transposed else base
+        assert np.array_equal(w.matrix, base[np.ix_(w.row_perm, w.col_perm)])
+
+
+def test_just_outside_a_transposed_w2_facet():
+    # a relative-interior point of a permuted W2^T facet, pushed a little
+    # toward the entry where W2^T is -1: no untransposed witness is negative
+    # there, so only the transposed orbit can agree with the LP
+    rng = np.random.default_rng(33)
+    Wt = CANONICAL_WITNESSES["W2"].T
+    verts = np.stack(vertex_set())
+    on = verts[np.abs(np.tensordot(verts, Wt, axes=2)) < 1e-12]
+    out = np.zeros((4, 4))
+    out[np.unravel_index(np.argmin(Wt), Wt.shape)] = 1.0
+    for _ in range(20):
+        p = np.tensordot(rng.dirichlet(np.ones(len(on))), on, axes=1)
+        r = (1 - 1e-3) * p + 1e-3 * out
+        r = r[np.ix_(rng.permutation(4), rng.permutation(4))]
+        cert = is_separable(r)
+        assert isinstance(cert, ViolatedWitness)
+        assert cert.witness.family == "W2" and cert.witness.transposed
+        assert cert.value == pytest.approx(witness_value(cert.witness, r))
+        assert cert.value < 0
 
 
 def test_witness_value_examples():
