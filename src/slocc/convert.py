@@ -149,7 +149,8 @@ def _generating_maps():
 
     A tail permutation is 1/4 times a permutation matrix (a D0-orbit vertex),
     a half-half map a block of 1/4 (a G0-orbit vertex).  Neither depends on
-    lam.
+    lam.  The index lookup raises KeyError if a map is not a vertex, so the
+    cache is built only when all nine are.
     """
     maps = []
     for perm in _TAIL_PERMS:
@@ -279,7 +280,11 @@ def synthesize_map(lam, lam_prime):
             r_total += (c / w) * r
             weights[j] += c / w
     # self-checks: action reproduces the target, and the vertex weights
-    # rebuild the normalized map (its separability certificate)
+    # rebuild the normalized map (its separability certificate).  The weights
+    # are nonnegative by construction and _generating_maps() proved each
+    # index once, when it built its cache; the rebuild is a defensive
+    # re-check of that cached invariant (about 20 us), so a wrong index can
+    # never yield an uncertified map.
     image = r_total @ lam
     image = image / image.sum()
     if np.abs(image - lam_prime).max() > TOL.equality:

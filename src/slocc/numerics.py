@@ -1,14 +1,12 @@
 """Dense linear-algebra helpers and a certified convex-membership oracle.
 
-Everything here is pure: no global mutable state, safe for concurrent use,
-except that an LP solve holds a warnings filter while it runs (`_linprog`).
+Everything here is pure: no global mutable state, safe for concurrent use.
 All matrices are plain ``numpy`` arrays; tolerances are collected in a single
 :class:`Tolerances` record so the test suite has one tuning point.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,27 +60,9 @@ TOL = Tolerances()
 
 _LP_OPTIONS = {"primal_feasibility_tolerance": TOL.lp,
                "dual_feasibility_tolerance": TOL.lp}
-# HiGHS drops constraint entries below its `small_matrix_value`, 1e-9, so a
-# hull whose vertices hold coordinates in (1e-10, 1e-9) read as infeasible.
-# Its minimum, 1e-12, is safe (smaller entries move a convex combination by
-# less than TOL.lp) but costs about 0.15 ms a solve, so it is set only for
-# hulls that have such entries.
+# HiGHS drops constraint-matrix entries of magnitude at most this
+# (its default `small_matrix_value`).
 _HIGHS_SMALL_ENTRY = 1e-9
-_LP_OPTIONS_SMALL_ENTRIES = dict(_LP_OPTIONS, small_matrix_value=1e-12)
-
-
-def _linprog(*args, options, **kwargs):
-    """scipy's HiGHS linprog.
-
-    scipy is imported on the first call, so paths that solve no LP never
-    load it.  scipy forwards `small_matrix_value` to HiGHS unchecked and
-    warns that it did; that warning is silenced.
-    """
-    from scipy.optimize import OptimizeWarning, linprog
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "Unrecognized options",
-                                OptimizeWarning)
-        return linprog(*args, method="highs", options=options, **kwargs)
 
 
 def is_hermitian(M, tol=TOL.hermiticity):
@@ -192,28 +172,38 @@ def convex_membership(vertices, query):
     if not (np.isfinite(V).all() and np.isfinite(q).all()):
         raise DegenerateInputError("non-finite values in vertices or query")
     n, d = V.shape
-    small = np.any((V != 0) & (np.abs(V) < _HIGHS_SMALL_ENTRY))
-    options = _LP_OPTIONS_SMALL_ENTRIES if small else _LP_OPTIONS
+    # scipy is imported here, so paths that solve no LP never load it.
+    from scipy.optimize import linprog
+    # A coordinate holding an entry HiGHS would drop is translated to start
+    # at twice the threshold; membership is invariant under translation.  The
+    # other coordinates keep their zeros, which the solver exploits
+    # (translating every coordinate made is_separable about 15 % slower).
+    tiny = ((V != 0) & (np.abs(V) <= _HIGHS_SMALL_ENTRY)).any(axis=0)
+    shift = np.where(tiny, 2 * _HIGHS_SMALL_ENTRY - V.min(axis=0), 0.0)
+    Vs, qs = V + shift, q + shift
 
-    A_eq = np.vstack([V.T, np.ones(n)])
-    b_eq = np.concatenate([q, [1.0]])
-    res = _linprog(np.zeros(n), A_eq=A_eq, b_eq=b_eq, bounds=[(0, None)] * n,
-                   options=options)
+    A_eq = np.vstack([Vs.T, np.ones(n)])
+    b_eq = np.concatenate([qs, [1.0]])
+    res = linprog(np.zeros(n), A_eq=A_eq, b_eq=b_eq, bounds=[(0, None)] * n,
+                  method="highs", options=_LP_OPTIONS)
     if res.status == 0:
         return Inside(coefficients=res.x)
 
     # Infeasible: find a separating affine functional.  Work in the lifted
     # space (v, 1); bounding h keeps the LP bounded, h = 0 is feasible so the
     # optimum is < 0 exactly when the query is outside the hull.
+    sep = linprog(np.concatenate([qs, [1.0]]),
+                  A_ub=-np.hstack([Vs, np.ones((n, 1))]), b_ub=np.zeros(n),
+                  bounds=[(-1, 1)] * (d + 1), method="highs",
+                  options=_LP_OPTIONS)
+    # Undo the translation: <g, v + shift> + g0 = <g, v> + (g0 + <g, shift>).
+    h = sep.x.copy()
+    h[-1] += float(h[:-1] @ shift)
     Vt = np.hstack([V, np.ones((n, 1))])
     qt = np.concatenate([q, [1.0]])
-    sep = _linprog(qt, A_ub=-Vt, b_ub=np.zeros(n), bounds=[(-1, 1)] * (d + 1),
-                   options=options)
-    h = sep.x
     # Clean up solver slack so the vertex-side inequality holds exactly.
     slack = float((Vt @ h).min())
     if slack < 0:
-        h = h.copy()
         h[-1] -= slack
     qval = float(qt @ h)
     if qval >= 0:

@@ -76,7 +76,7 @@ class Witness:
     family: str
     row_perm: tuple
     col_perm: tuple
-    transposed: bool = False
+    transposed: bool
 
 
 @dataclass(frozen=True)

@@ -100,3 +100,16 @@ def test_convex_membership_rejects_bad_input():
         convex_membership(np.eye(2), np.zeros(3))
     with pytest.raises(DegenerateInputError):
         convex_membership(np.array([[np.nan, 0.0]]), np.zeros(2))
+
+
+def test_convex_membership_hull_with_tiny_coordinates():
+    # HiGHS drops matrix entries below 1e-9; the hull must not lose them
+    V = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 5e-10]])
+    inside = convex_membership(V, np.array([0.2, 2e-10]))
+    assert isinstance(inside, Inside)
+    assert np.abs(V.T @ inside.coefficients - [0.2, 2e-10]).max() < 1e-12
+    q = np.array([0.2, 1e-9])
+    outside = convex_membership(V, q)
+    assert isinstance(outside, Outside)
+    assert min(outside.value(v) for v in V) >= 0
+    assert outside.value(q) < 0
