@@ -20,6 +20,7 @@ import json
 import math
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .choi import apply_map_density, map_action_bd, quasi_reverse_map, rho_nd, \
     rho_nd_prime
 from .convert import can_convert_bd, lp_oracle_membership, monotones
 from .normal_form import classify
-from .numerics import NumericsError
+from .numerics import Inside, NumericsError, convex_membership
 from .separability import (CANONICAL_WITNESSES, ConvexDecomposition,
                            ViolatedWitness, is_separable,
                            seesaw_min_product, validate_rmatrix, vertex_set,
@@ -62,7 +63,7 @@ def _finite(x, where):
 
 def _read_json(path):
     try:
-        text = sys.stdin.read() if path == "-" else open(path).read()
+        text = sys.stdin.read() if path == "-" else Path(path).read_text()
     except OSError as exc:
         raise InputError(f"{path}: {exc}") from exc
     try:
@@ -353,12 +354,27 @@ def _selfcheck_items(seed):
             checked += 1
         return True, "50 synthesized maps separable"
 
+    def witness_scan_vs_lp():
+        # is_separable decides a NO by the witness scan alone; the
+        # 60-vertex LP is the independent check
+        local = np.random.default_rng(int(seeds[7]))
+        verts = np.stack([v.ravel() for v in vertex_set()])
+        separable = 0
+        for _ in range(100):
+            r = local.dirichlet(np.full(16, 1.4)).reshape(4, 4)
+            scan = isinstance(is_separable(r), ConvexDecomposition)
+            if scan != isinstance(convex_membership(verts, r.ravel()), Inside):
+                return False, f"disagreement at r = {_rmatrix_json(r)}"
+            separable += scan
+        return True, f"100 r-matrices agree ({separable} separable)"
+
     return [("witness see-saw", seesaw_suite),
             ("W2 extension certificate", w2_certificate),
             ("quasi-reverse map", quasi_reverse),
             ("monotones vs LP oracle", monotone_vs_lp),
             ("synthesized maps vs separability oracle",
-             maps_vs_separability)]
+             maps_vs_separability),
+            ("witness scan vs LP oracle", witness_scan_vs_lp)]
 
 
 def _random_ordered_entangled(rng):

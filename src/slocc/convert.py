@@ -30,7 +30,8 @@ import numpy as np
 
 from .bell import (is_entangled_bd, is_ordered, validate_weights,
                    weights_to_coords)
-from .numerics import TOL, Inside, NumericsError, convex_membership
+from .numerics import (TOL, Inside, NumericsError, _hull_coefficients,
+                       convex_membership)
 from .separability import _vertex_array, vertex_set
 
 
@@ -193,10 +194,10 @@ def plambda_vertices(lam):
 
 
 def lp_oracle_membership(lam, lam_prime):
-    """Independent decision: is lam' in the reachable polytope of lam?"""
+    """Independent decision: is lam' in the reachable polytope of lam?  One
+    feasibility LP; a NO solves no second LP for a separating functional."""
     lam_prime = validate_weights(lam_prime)
-    return isinstance(convex_membership(plambda_vertices(lam), lam_prime),
-                      Inside)
+    return _hull_coefficients(plambda_vertices(lam), lam_prime) is not None
 
 
 @dataclass(frozen=True)
@@ -230,19 +231,6 @@ class FacetInequalities:
             raise ZeroDivisionError("F3 coordinate form degenerate")
         lhs = xx + zz - (1 - 2 * l1 + 2 * l4) / (1 - 2 * l2 - 2 * l3) * yy
         return float(lhs), lhs <= 1 + 1e-12
-
-    def f2_weight_form(self, lam_prime):
-        """Equivalent monotone comparison E2(lam) >= E2(lam')."""
-        lam_prime = validate_weights(lam_prime)
-        l2p = lam_prime[1]
-        return ratio_geq(monotones(self.lam).e2,
-                         (float(1 - 2 * l2p), float(lam_prime[2] + lam_prime[3])))
-
-    def f3_weight_form(self, lam_prime):
-        lam_prime = validate_weights(lam_prime)
-        return ratio_geq(monotones(self.lam).e3,
-                         (float(1 - 2 * lam_prime[1] - 2 * lam_prime[2]),
-                          float(lam_prime[3])))
 
 
 def facet_inequalities(lam):

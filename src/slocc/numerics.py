@@ -46,6 +46,8 @@ class Tolerances:
                    cluster's defect marks a Jordan block (rank-deficient class)
     ppt         -- most negative partial-transpose eigenvalue still counted
                    as PPT (separable) for a two-qubit state
+    witness     -- slack of the entanglement-witness scan: a value <W, r>
+                   below -witness certifies that an r-matrix is entangled
     """
 
     equality: float = 1e-10
@@ -54,6 +56,7 @@ class Tolerances:
     lp: float = 1e-10
     lorentz: float = 1e-6
     ppt: float = -1e-10
+    witness: float = 1e-10
 
 
 TOL = Tolerances()
@@ -157,12 +160,18 @@ class Outside:
         return float(np.dot(self.normal, point) + self.offset)
 
 
-def convex_membership(vertices, query):
-    """Decide whether `query` lies in the convex hull of `vertices`.
+def _highs_shift(V):
+    """Translation of each coordinate of V holding an entry HiGHS would drop
+    to start at twice the threshold; membership is invariant under it."""
+    # The other coordinates keep their zeros, which the solver exploits
+    # (translating every coordinate made is_separable about 15 % slower).
+    tiny = ((V != 0) & (np.abs(V) <= _HIGHS_SMALL_ENTRY)).any(axis=0)
+    return np.where(tiny, 2 * _HIGHS_SMALL_ENTRY - V.min(axis=0), 0.0)
 
-    Returns Inside(coefficients) or Outside(normal, offset); either branch
-    carries a certificate that can be re-verified independently.
-    """
+
+def _hull_coefficients(vertices, query):
+    """The feasibility LP of convex_membership alone: convex coefficients
+    expressing `query` over the rows of `vertices`, or None."""
     V = np.asarray(vertices, dtype=float)
     q = np.asarray(query, dtype=float)
     if V.ndim != 2 or V.shape[0] < 1:
@@ -171,24 +180,33 @@ def convex_membership(vertices, query):
         raise DimensionMismatchError("vertex/query dimension mismatch")
     if not (np.isfinite(V).all() and np.isfinite(q).all()):
         raise DegenerateInputError("non-finite values in vertices or query")
-    n, d = V.shape
     # scipy is imported here, so paths that solve no LP never load it.
     from scipy.optimize import linprog
-    # A coordinate holding an entry HiGHS would drop is translated to start
-    # at twice the threshold; membership is invariant under translation.  The
-    # other coordinates keep their zeros, which the solver exploits
-    # (translating every coordinate made is_separable about 15 % slower).
-    tiny = ((V != 0) & (np.abs(V) <= _HIGHS_SMALL_ENTRY)).any(axis=0)
-    shift = np.where(tiny, 2 * _HIGHS_SMALL_ENTRY - V.min(axis=0), 0.0)
+    n = V.shape[0]
+    shift = _highs_shift(V)
     Vs, qs = V + shift, q + shift
-
     A_eq = np.vstack([Vs.T, np.ones(n)])
     b_eq = np.concatenate([qs, [1.0]])
     res = linprog(np.zeros(n), A_eq=A_eq, b_eq=b_eq, bounds=[(0, None)] * n,
                   method="highs", options=_LP_OPTIONS)
-    if res.status == 0:
-        return Inside(coefficients=res.x)
+    return res.x if res.status == 0 else None
 
+
+def convex_membership(vertices, query):
+    """Decide whether `query` lies in the convex hull of `vertices`.
+
+    Returns Inside(coefficients) or Outside(normal, offset); either branch
+    carries a certificate that can be re-verified independently.
+    """
+    coefficients = _hull_coefficients(vertices, query)
+    if coefficients is not None:
+        return Inside(coefficients=coefficients)
+    from scipy.optimize import linprog
+    V = np.asarray(vertices, dtype=float)
+    q = np.asarray(query, dtype=float)
+    n, d = V.shape
+    shift = _highs_shift(V)
+    Vs, qs = V + shift, q + shift
     # Infeasible: find a separating affine functional.  Work in the lifted
     # space (v, 1); bounding h keeps the LP bounded, h = 0 is feasible so the
     # optimum is < 0 exactly when the query is outside the hull.

@@ -4,8 +4,10 @@ Separability across the A|B cut is a convex polytope: the hull of the 60
 local-unitary images of the two seed states D0 (Bell-correlated dephasing)
 and G0 (a 2x2 block of weight 1/4).  Its nontrivial facets fall into five
 witness families W0..W4; W0 is entrywise positivity and W1 is the PPT
-condition.  This module provides both descriptions plus certified membership,
-a see-saw lower-bound check on each assembled witness, and the explicit
+condition.  The witnesses cut out the polytope, so a negative witness value
+certifies entanglement by itself; only a separable state needs the LP, for
+its decomposition over the vertices.  The module also provides a see-saw
+lower-bound check on each assembled witness and the explicit
 symmetric-extension certificate that proves the W2 family.
 """
 
@@ -17,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numerics import (NumericsError, Inside, InvalidStateError, Outside,
+from .numerics import (TOL, NumericsError, Inside, InvalidStateError,
                        convex_membership, is_hermitian, NonHermitianError)
 from .symmetric import QubitOrdering, assemble
 
@@ -30,7 +32,7 @@ __all__ = [
 
 
 class InternalInconsistencyError(NumericsError):
-    """Witness scan and LP membership disagreed: a bug, never expected."""
+    """The LP put outside an r-matrix that no witness rejects: a bug."""
 
 
 class NoEncodingMatchesError(NumericsError):
@@ -166,7 +168,7 @@ def min_witness_values(r):
     return _witness_stack() @ np.asarray(r, dtype=float).ravel()
 
 
-def validate_rmatrix(r, tol_neg=1e-12, tol_sum=1e-10):
+def validate_rmatrix(r, tol_neg=1e-12, tol_sum=TOL.equality):
     r = np.asarray(r, dtype=float)
     if r.shape != (4, 4):
         raise InvalidStateError("r-matrix must be 4x4")
@@ -177,34 +179,28 @@ def validate_rmatrix(r, tol_neg=1e-12, tol_sum=1e-10):
     return r
 
 
-def is_separable(r, witness_tol=1e-10):
+def is_separable(r):
     """Certified separability of a symmetric state across the A|B cut.
 
-    Runs both polytope descriptions -- LP membership over the 60 vertices and
-    the witness-orbit scan -- and demands they agree; returns a
-    ConvexDecomposition or a ViolatedWitness.
+    The witness orbit cuts out the separable polytope, so the scan decides.
+    A value below -TOL.witness returns the first violated witness in scan
+    order as a ViolatedWitness, with no LP.  Otherwise the 60-vertex
+    membership LP returns the ConvexDecomposition; if it finds r outside, the
+    witness set is incomplete and InternalInconsistencyError is raised.
     """
     r = validate_rmatrix(r)
-    violated = None
-    flat = r.ravel()
-    orbit = witness_orbit()
-    vals = _witness_stack() @ flat
-    idx = int(np.argmin(vals))
-    if vals[idx] < -witness_tol:
-        # report the first violation in scan order, not the deepest
-        first = int(np.argmax(vals < -witness_tol))
-        violated = ViolatedWitness(witness=orbit[first],
-                                   value=float(vals[first]))
-
-    membership = convex_membership(_vertex_array().reshape(-1, 16), flat)
-
-    if isinstance(membership, Inside) and violated is None:
+    vals = min_witness_values(r)
+    # the first violation in scan order, not the deepest
+    first = int(np.argmax(vals < -TOL.witness))
+    if vals[first] < -TOL.witness:
+        return ViolatedWitness(witness=witness_orbit()[first],
+                               value=float(vals[first]))
+    membership = convex_membership(_vertex_array().reshape(-1, 16), r.ravel())
+    if isinstance(membership, Inside):
         return ConvexDecomposition(weights=membership.coefficients)
-    if isinstance(membership, Outside) and violated is not None:
-        return violated
     raise InternalInconsistencyError(
-        f"LP membership ({type(membership).__name__}) and witness scan "
-        f"(min value {vals.min():.3e}) disagree")
+        "LP puts r outside the polytope but no witness is violated "
+        f"(min value {vals.min():.3e})")
 
 
 def seesaw_min_product(Z, restarts=200, rng=None, max_sweeps=500,

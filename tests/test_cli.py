@@ -8,7 +8,7 @@ import pytest
 
 import slocc
 from slocc.choi import rho_nd
-from slocc.cli import main
+from slocc.cli import _selfcheck_items, main
 from slocc.separability import CANONICAL_WITNESSES, vertex_set
 
 
@@ -147,6 +147,31 @@ def test_no_scipy_without_an_lp(worked_pair):
         os.path.dirname(slocc.__file__)))
     subprocess.run([sys.executable, "-c", code], env=env, check=True,
                    capture_output=True)
+
+
+def test_no_scipy_for_an_entangled_rmatrix(tmp_path):
+    # a violated witness certifies a NO by itself, so no LP is solved
+    r41 = np.zeros((4, 4))
+    r41[3, 0] = 1.0
+    f = _write(tmp_path, "r41.json", {"kind": "rmatrix", "r": r41.tolist()})
+    code = ("import sys\n"
+            "from slocc.cli import main\n"
+            "from slocc.separability import D0, ViolatedWitness, "
+            "is_separable\n"
+            f"assert main(['separable', {f!r}]) == 1\n"
+            "r = 0.3 * D0\n"
+            "r[3, 0] += 0.7\n"
+            "assert isinstance(is_separable(r), ViolatedWitness)\n"
+            "assert 'scipy' not in sys.modules\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(slocc.__file__)))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                   capture_output=True)
+
+
+def test_selfcheck_witness_scan_vs_lp():
+    ok, detail = dict(_selfcheck_items(0))["witness scan vs LP oracle"]()
+    assert ok, detail
 
 
 def test_normal_form_nd(tmp_path, capsys):

@@ -106,13 +106,6 @@ def test_facets_saturate_at_source():
     assert abs(lhs3 - 1.0) < 1e-10
 
 
-def test_facet_weight_forms_match_monotones():
-    f = facet_inequalities(LAM)
-    assert f.f2_weight_form(LAM_P) == ratio_geq(monotones(LAM).e2,
-                                                monotones(LAM_P).e2)
-    assert f.f3_weight_form(LAM_P)
-
-
 def test_facet_denominators_never_degenerate_when_entangled():
     # lam_1 > 1/2 forces lam_1 > lam_2 and 2(lam_2 + lam_3) < 1, so both
     # coordinate forms are well defined on every valid input

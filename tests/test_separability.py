@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from slocc.numerics import partial_transpose
+import slocc.separability
+from slocc.numerics import Outside, convex_membership, partial_transpose
 from slocc.separability import (CANONICAL_WITNESSES, ConvexDecomposition, D0,
                                 G0, InvalidStateError, ViolatedWitness,
                                 is_separable, min_witness_values,
@@ -152,3 +153,75 @@ def test_extension_certificate():
     piA = symmetric_subspace_projector(4)
     assert np.linalg.matrix_rank(piA) == 10
     assert np.abs(piA @ piA - piA).max() < 1e-12
+
+
+def test_entangled_solves_no_lp(monkeypatch):
+    calls = []
+    original = slocc.separability.convex_membership
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(slocc.separability, "convex_membership", counted)
+    r41 = np.zeros((4, 4))
+    r41[3, 0] = 1.0
+    assert isinstance(is_separable(r41), ViolatedWitness)
+    assert calls == []
+    assert isinstance(is_separable(D0), ConvexDecomposition)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("symmetrise", [False, True])
+def test_witness_scan_agrees_with_lp(symmetrise):
+    # the LP is the independent oracle for the scan's NO answers
+    rng = np.random.default_rng(34 + symmetrise)
+    verts = np.stack([v.ravel() for v in vertex_set()])
+    answers = set()
+    for _ in range(300):
+        d = rng.dirichlet(np.full(16, 1.4)).reshape(4, 4)
+        r = (d + d.T) / 2 if symmetrise else d
+        cert = is_separable(r)
+        answers.add(type(cert))
+        if isinstance(cert, ViolatedWitness):
+            assert isinstance(convex_membership(verts, r.ravel()), Outside)
+        else:
+            assert np.abs(cert.weights @ verts - r.ravel()).max() < 1e-8
+    assert answers == {ViolatedWitness, ConvexDecomposition}
+
+
+@pytest.mark.parametrize("family,transposed", [
+    ("W0", False), ("W1", False), ("W2", False), ("W3", False),
+    ("W4", False), ("W2", True)])
+def test_points_1e9_from_a_permuted_facet(family, transposed):
+    # p is a relative-interior point of the facet <W, r> = 0; moving 1e-9
+    # toward the entry where W is -1 crosses it, moving 1e-9 toward the
+    # centroid of the polytope does not
+    rng = np.random.default_rng(36)
+    W = CANONICAL_WITNESSES[family]
+    W = W.T if transposed else W
+    verts = np.stack(vertex_set())
+    on = verts[np.abs(np.tensordot(verts, W, axes=2)) < 1e-12]
+    out = np.zeros((4, 4))
+    out[np.unravel_index(np.argmin(W), W.shape)] = 1.0
+    t = 1e-9
+    for _ in range(5):
+        p = np.tensordot(rng.dirichlet(np.ones(len(on))), on, axes=1)
+        perm = np.ix_(rng.permutation(4), rng.permutation(4))
+        inside = ((1 - t) * p + t * verts.mean(axis=0))[perm]
+        assert isinstance(is_separable(inside), ConvexDecomposition)
+        if family == "W0":
+            # W0 is entrywise positivity: crossing it makes an entry
+            # negative, which validation rejects before any scan
+            r = p.copy()
+            r[0, 0] -= t
+            r[0, 1] += t
+            with pytest.raises(InvalidStateError):
+                is_separable(r[perm])
+            continue
+        r = ((1 - t) * p + t * out)[perm]
+        cert = is_separable(r)
+        assert isinstance(cert, ViolatedWitness)
+        assert (cert.witness.family, cert.witness.transposed) == \
+            (family, transposed)
+        assert cert.value == pytest.approx(-t, rel=1e-3)
