@@ -64,9 +64,10 @@ def validate_weights(lam, tol_neg=1e-12, tol_sum=TOL.equality):
     lam = np.asarray(lam, dtype=float)
     if lam.shape != (4,):
         raise InvalidWeightsError("weight vector must have 4 components")
-    if lam.min() < -tol_neg:
+    # negated comparisons, so a NaN entry fails them
+    if not lam.min() >= -tol_neg:
         raise InvalidWeightsError(f"negative weight {lam.min()}")
-    if abs(lam.sum() - 1.0) > tol_sum:
+    if not abs(lam.sum() - 1.0) <= tol_sum:
         raise InvalidWeightsError(f"weights sum to {lam.sum()}, expected 1")
     return lam
 
@@ -135,5 +136,9 @@ def is_entangled_bd(lam):
     Boundary states (max weight exactly 1/2) count as separable; the
     separable octahedron is closed.
     """
-    lam = validate_weights(lam)
+    return _exceeds_half(validate_weights(lam))
+
+
+def _exceeds_half(lam):
+    """is_entangled_bd for an already validated weight vector."""
     return bool(lam.max() > 0.5 + 1e-12)

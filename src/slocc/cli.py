@@ -29,7 +29,7 @@ from .choi import apply_map_density, map_action_bd, quasi_reverse_map, rho_nd, \
     rho_nd_prime
 from .convert import can_convert_bd, lp_oracle_membership, monotones
 from .normal_form import classify
-from .numerics import Inside, NumericsError, convex_membership
+from .numerics import TOL, Inside, NumericsError, convex_membership
 from .separability import (CANONICAL_WITNESSES, ConvexDecomposition,
                            ViolatedWitness, is_separable,
                            seesaw_min_product, validate_rmatrix, vertex_set,
@@ -187,10 +187,8 @@ def cmd_convert(args):
     decision = can_convert_bd(lam, lam_p, with_map=True)
     if not decision.convertible:
         name = decision.violated_monotone
-        src = dict(zip(("E1", "E2", "E3"),
-                       decision.source_monotones.as_floats()))[name]
-        dst = dict(zip(("E1", "E2", "E3"),
-                       decision.target_monotones.as_floats()))[name]
+        src = dict(zip(("E1", "E2", "E3"), monotones(lam).as_floats()))[name]
+        dst = dict(zip(("E1", "E2", "E3"), monotones(lam_p).as_floats()))[name]
         _emit(args, ["NO",
                      f"{name} violated: {_fmt(src)} < {_fmt(dst)}"],
               {"convertible": False, "violated_monotone": name,
@@ -328,15 +326,21 @@ def _selfcheck_items(seed):
         return True, f"worst residual {worst:.3e}"
 
     def monotone_vs_lp():
+        # every YES also replays its map
         local = np.random.default_rng(int(seeds[5]))
+        replayed = 0
         for _ in range(200):
             lam = _random_ordered_entangled(local)
             lam_p = _random_ordered_entangled(local)
-            mono = can_convert_bd(lam, lam_p, with_map=False).convertible
-            lp = lp_oracle_membership(lam, lam_p)
-            if mono != lp:
+            decision = can_convert_bd(lam, lam_p)
+            if decision.convertible != lp_oracle_membership(lam, lam_p):
                 return False, f"disagreement at {lam} -> {lam_p}"
-        return True, "200 sampled pairs agree"
+            if decision.convertible:
+                image, _ = map_action_bd(decision.rmatrix, lam)
+                if np.abs(image - lam_p).max() > TOL.equality:
+                    return False, f"map for {lam} -> {lam_p} fails replay"
+                replayed += 1
+        return True, f"200 sampled pairs agree, {replayed} maps replayed"
 
     def maps_vs_separability():
         # synthesize_map certifies its maps by construction; is_separable

@@ -1,9 +1,10 @@
 """SLOCC convertibility between ordered entangled Bell-diagonal states.
 
 The reachable set from an ordered entangled weight vector lam is a convex
-polytope with at most nine vertices: lam itself, its five tail permutations,
-and the three separable half-half mixtures (1/2)(e_1 + e_i).  Only three of
-its facets contain lam, and they induce the complete monotone triple
+polytope P_lam with at most nine vertices: lam itself, its five tail
+permutations, and the three separable half-half mixtures (1/2)(e_1 + e_i).
+Only three of its facets contain lam, and they induce the complete monotone
+triple
 
     E1 = lam_1
     E2 = (1 - 2 lam_2) / (lam_3 + lam_4)
@@ -14,10 +15,14 @@ are kept as (numerator, denominator) pairs and compared by
 cross-multiplication, so vanishing denominators (pure Bell states) need no
 special casing.
 
-A YES comes with an r-matrix built as a nonnegative sum of nine generating
-maps, each a vertex of the separable polytope (`separability.vertex_set()`),
-so its separability certificate is built along with it and checked by
-reconstruction; no second LP is solved.
+A YES comes with an r-matrix.  P_lam is three-dimensional, so by
+Caratheodory's theorem some four of its nine labelled vertices carry lam';
+their convex weights come from one batched solve of all 126 four-vertex
+barycentric systems, with no LP.  Each vertex is the image of a generating
+map that is itself a vertex of the separable polytope
+(`separability.vertex_set()`), so the map's separability certificate is
+built along with it and checked by reconstruction.  The 9-vertex LP stays
+as the independent oracle (`lp_oracle_membership`).
 """
 
 from __future__ import annotations
@@ -28,10 +33,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bell import (is_entangled_bd, is_ordered, validate_weights,
+from .bell import (_exceeds_half, is_ordered, validate_weights,
                    weights_to_coords)
-from .numerics import (TOL, Inside, NumericsError, _hull_coefficients,
-                       convex_membership)
+from .numerics import TOL, NumericsError, _hull_coefficients
 from .separability import _vertex_array, vertex_set
 
 
@@ -51,8 +55,7 @@ class NotConvertibleError(NumericsError):
 class MonotoneTriple:
     """E1 and the (numerator, denominator) pairs of E2 and E3, both >= 0.
 
-    The five numbers are stored flat (every Decision holds two triples) and
-    `e2`, `e3` read them back as pairs.
+    The five numbers are stored flat and `e2`, `e3` read them back as pairs.
     """
 
     e1: float
@@ -78,17 +81,23 @@ class MonotoneTriple:
 
 
 def _require_ordered_entangled(lam):
+    """`lam` as a checked float array: valid, sorted and entangled.  Public
+    entry points call it once per vector; the private helpers below take
+    its result unchecked."""
     lam = validate_weights(lam)
     if not is_ordered(lam):
         raise NotOrderedError(f"weights {lam} not sorted descending")
-    if not is_entangled_bd(lam):
+    if not _exceeds_half(lam):
         raise NotEntangledError(f"weights {lam} are separable (lam_1 <= 1/2)")
     return lam
 
 
 def monotones(lam):
     """The complete monotone triple of an ordered entangled weight vector."""
-    lam = _require_ordered_entangled(lam)
+    return _monotones(_require_ordered_entangled(lam))
+
+
+def _monotones(lam):
     l1, l2, l3, l4 = lam
     return MonotoneTriple(float(l1), float(1 - 2 * l2), float(l3 + l4),
                           float(1 - 2 * l2 - 2 * l3), float(l4))
@@ -112,8 +121,6 @@ class Decision:
     reason: str
     violated_monotone: str | None = None
     rmatrix: np.ndarray | None = None
-    source_monotones: MonotoneTriple | None = None
-    target_monotones: MonotoneTriple | None = None
 
 
 def can_convert_bd(lam, lam_prime, with_map=True):
@@ -122,8 +129,10 @@ def can_convert_bd(lam, lam_prime, with_map=True):
     Ties count as convertible (the reachable polytope is closed).  On yes,
     attaches a realizing r-matrix; on no, names the first failing monotone.
     """
-    m_src = monotones(lam)
-    m_dst = monotones(lam_prime)
+    lam = _require_ordered_entangled(lam)
+    lam_prime = _require_ordered_entangled(lam_prime)
+    m_src = _monotones(lam)
+    m_dst = _monotones(lam_prime)
     checks = [
         ("E1", m_src.e1 >= m_dst.e1),
         ("E2", ratio_geq(m_src.e2, m_dst.e2)),
@@ -133,15 +142,17 @@ def can_convert_bd(lam, lam_prime, with_map=True):
         if not ok:
             return Decision(convertible=False,
                             reason=_INCREASES[name],
-                            violated_monotone=name,
-                            source_monotones=m_src, target_monotones=m_dst)
-    rmat = synthesize_map(lam, lam_prime) if with_map else None
+                            violated_monotone=name)
+    rmat = _synthesize_map(lam, lam_prime) if with_map else None
     return Decision(convertible=True, reason="all monotones non-increasing",
-                    rmatrix=rmat,
-                    source_monotones=m_src, target_monotones=m_dst)
+                    rmatrix=rmat)
 
 
-_TAIL_PERMS = tuple((0,) + p for p in itertools.permutations((1, 2, 3)))
+_TAIL_PERMS = np.array([(0,) + p
+                        for p in itertools.permutations((1, 2, 3))])
+# every four of the nine labelled vertices (six tail permutations, then the
+# three half-half mixtures): the candidate Caratheodory subsets
+_SUBSETS = np.array(list(itertools.combinations(range(9), 4)))
 
 
 @lru_cache(maxsize=1)
@@ -169,26 +180,23 @@ def _generating_maps():
 
 
 def _labelled_vertices(lam):
-    """(vertex weight vector, generating r-matrix, success weight, index of
-    the r-matrix in vertex_set()) for each of the nine generating maps."""
-    lam = _require_ordered_entangled(lam)
-    maps = _generating_maps()
-    out = [(lam[list(perm)], r, 0.25, j)
-           for perm, (r, j) in zip(_TAIL_PERMS, maps)]
-    for i, (r, j) in zip((1, 2, 3), maps[len(_TAIL_PERMS):]):
-        vec = np.zeros(4)
-        vec[0] = 0.5
-        vec[i] = 0.5
-        out.append((vec, r, float(lam[0] + lam[1]) / 2.0, j))
-    return out
+    """The nine vertices of P_lam as rows, row k the normalized image of lam
+    under _generating_maps()[k], and their success weights sum(r_k lam)."""
+    verts = np.zeros((9, 4))
+    verts[:6] = lam[_TAIL_PERMS]
+    verts[6:, 0] = 0.5
+    verts[6:, 1:] = 0.5 * np.eye(3)
+    success = np.full(9, 0.25)
+    success[6:] = (lam[0] + lam[1]) / 2.0
+    return verts, success
 
 
 def plambda_vertices(lam):
     """Deduplicated vertex list of the reachable polytope (up to 9 vectors)."""
-    verts = [v for v, _, _, _ in _labelled_vertices(lam)]
+    verts, _ = _labelled_vertices(_require_ordered_entangled(lam))
     unique = []
     for v in verts:
-        if not any(np.abs(v - u).max() <= 1e-12 for u in unique):
+        if not any(np.abs(v - u).max() <= TOL.duplicate for u in unique):
             unique.append(v)
     return np.array(unique)
 
@@ -243,30 +251,77 @@ def facet_inequalities(lam):
     )
 
 
+def _lift(x, lam):
+    """Affine coordinates (1, t, x_2, x_3) of weight vectors x (last axis).
+
+    t = (x_1 - 1/2) / (lam_1 - 1/2) puts the half-half vertices of P_lam at
+    t = 0 and its tail permutations at t = 1, so the barycentric
+    determinants do not shrink as lam_1 nears 1/2.  Barycentric coordinates
+    are affine-invariant: the lift changes no convex weight.
+    """
+    out = np.ones(x.shape)
+    out[..., 1] = (x[..., 0] - 0.5) / (lam[0] - 0.5)
+    out[..., 2:] = x[..., 1:3]
+    return out
+
+
+def _caratheodory(verts, lam, lam_prime):
+    """(vertex indices, convex weights) of four labelled vertices carrying
+    lam'.  All 126 four-vertex systems are solved in one batch, the
+    affinely dependent ones dropped by their determinant; the subset whose
+    smallest weight is largest wins.  A weight below -TOL.equality raises
+    NotConvertibleError, unless projecting lam' onto a face (below) mends
+    it; the caller leaves weights at or below TOL.negligible out."""
+    A = _lift(verts, lam)[_SUBSETS].transpose(0, 2, 1)  # columns: vertices
+    with np.errstate(divide="ignore"):  # subnormal weights: LU divides by 0
+        solvable = np.abs(np.linalg.det(A)) > TOL.singular
+    # b as a column: numpy < 2 reads a 1-d b against stacked A differently
+    b = _lift(lam_prime, lam)[:, None]
+    coeffs = np.linalg.solve(A[solvable], b)[..., 0]
+    best = int(np.argmax(coeffs.min(axis=1)))
+    subset, c = _SUBSETS[solvable][best], coeffs[best]
+    if not c.min() >= -TOL.equality:
+        # Barycentric weights scale distances by the inverse width of
+        # P_lam, which is lam_1 - 1/2 across its two vertex layers, so a
+        # target on a face within rounding can read as outside by far more
+        # than TOL.equality.  Project it onto the face of the subset's
+        # positive weights, in weight space; the replay then decides.
+        face = c > 0
+        system = np.vstack([verts[subset[face]].T, np.ones(face.sum())])
+        c[face] = np.linalg.lstsq(system, np.append(lam_prime, 1.0),
+                                  rcond=None)[0]
+        c[~face] = 0.0
+    if not c.min() >= -TOL.equality:
+        raise NotConvertibleError(f"{lam_prime} outside the reachable polytope")
+    return subset, c
+
+
 def synthesize_map(lam, lam_prime):
     """An explicit separable-cone r-matrix realizing lam -> lam'.
 
-    Decomposes lam' over the reachable polytope's vertices (one 9-vertex
-    LP), maps each vertex to its generating vertex r-matrix, and reweights
-    so the unnormalized images align: r lam / ||r lam||_1 = lam'.  Every
-    generating r-matrix is a vertex of the separable polytope, so the same
-    weights, normalized, form a ConvexDecomposition of r / sum(r) over
+    Writes lam' as a convex combination of four labelled vertices of the
+    reachable polytope (one batched barycentric solve, no LP; see
+    _caratheodory), maps each vertex to its generating vertex r-matrix, and
+    reweights so the unnormalized images align: r lam / ||r lam||_1 = lam'.
+    Every generating r-matrix is a vertex of the separable polytope, so the
+    same weights, normalized, form a ConvexDecomposition of r / sum(r) over
     vertex_set(): the map is certified by construction, and the certificate
-    is checked by rebuilding r from it, not by a second LP.
+    is checked by rebuilding r from it, as the replay of lam' is checked.
     """
-    lam = _require_ordered_entangled(lam)
-    lam_prime = _require_ordered_entangled(lam_prime)
-    labelled = _labelled_vertices(lam)
-    V = np.stack([v for v, _, _, _ in labelled])
-    membership = convex_membership(V, lam_prime)
-    if not isinstance(membership, Inside):
-        raise NotConvertibleError(f"{lam_prime} outside the reachable polytope")
+    return _synthesize_map(_require_ordered_entangled(lam),
+                           _require_ordered_entangled(lam_prime))
+
+
+def _synthesize_map(lam, lam_prime):
+    verts, success = _labelled_vertices(lam)
+    maps = _generating_maps()
     r_total = np.zeros((4, 4))
     weights = np.zeros(len(vertex_set()))
-    for c, (_, r, w, j) in zip(membership.coefficients, labelled):
-        if c > 1e-14:
-            r_total += (c / w) * r
-            weights[j] += c / w
+    for k, c in zip(*_caratheodory(verts, lam, lam_prime)):
+        if c > TOL.negligible:
+            r, j = maps[k]
+            r_total += (c / success[k]) * r
+            weights[j] += c / success[k]
     # self-checks: action reproduces the target, and the vertex weights
     # rebuild the normalized map (its separability certificate).  The weights
     # are nonnegative by construction and _generating_maps() proved each

@@ -48,6 +48,13 @@ class Tolerances:
                    as PPT (separable) for a two-qubit state
     witness     -- slack of the entanglement-witness scan: a value <W, r>
                    below -witness certifies that an r-matrix is entangled
+    singular    -- smallest |det| of a four-vertex barycentric system that is
+                   solved; below it the four vertices are affinely dependent
+                   (duplicates from tied weights, or coplanar)
+    duplicate   -- max entry difference at which two vertices of a reachable
+                   polytope count as one
+    negligible  -- largest convex coefficient still left out of a
+                   synthesized map
     """
 
     equality: float = 1e-10
@@ -57,6 +64,9 @@ class Tolerances:
     lorentz: float = 1e-6
     ppt: float = -1e-10
     witness: float = 1e-10
+    singular: float = 1e-12
+    duplicate: float = 1e-12
+    negligible: float = 1e-14
 
 
 TOL = Tolerances()

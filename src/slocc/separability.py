@@ -172,9 +172,10 @@ def validate_rmatrix(r, tol_neg=1e-12, tol_sum=TOL.equality):
     r = np.asarray(r, dtype=float)
     if r.shape != (4, 4):
         raise InvalidStateError("r-matrix must be 4x4")
-    if r.min() < -tol_neg:
+    # negated comparisons, so a NaN entry fails them
+    if not r.min() >= -tol_neg:
         raise InvalidStateError(f"negative entry {r.min()}")
-    if abs(r.sum() - 1.0) > tol_sum:
+    if not abs(r.sum() - 1.0) <= tol_sum:
         raise InvalidStateError(f"entries sum to {r.sum()}, expected 1")
     return r
 

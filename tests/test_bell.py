@@ -60,6 +60,8 @@ def test_validate_weights():
         validate_weights([0.5, 0.5, 0.5])
     with pytest.raises(InvalidWeightsError):
         validate_weights([0.5, 0.5, 0.5, 0.5])
+    with pytest.raises(InvalidWeightsError):
+        validate_weights([np.nan, 0.5, 0.5, 0.0])
 
 
 def test_canonical_order_stable_ties():

@@ -134,7 +134,8 @@ def test_separable_transposed_witness(tmp_path, capsys):
 
 
 def test_no_scipy_without_an_lp(worked_pair):
-    # monotones and a NO from convert need no LP, so they never load scipy
+    # monotones and convert, NO or YES with its map, solve no LP, so they
+    # never load scipy
     src, dst = worked_pair
     code = ("import sys\n"
             "import slocc\n"
@@ -142,6 +143,7 @@ def test_no_scipy_without_an_lp(worked_pair):
             "from slocc.cli import main\n"
             f"assert main(['monotones', {src!r}]) == 0\n"
             f"assert main(['convert', {dst!r}, {src!r}]) == 1\n"
+            f"assert main(['convert', {src!r}, {dst!r}]) == 0\n"
             "assert 'scipy' not in sys.modules\n")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(
         os.path.dirname(slocc.__file__)))

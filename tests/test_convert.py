@@ -5,12 +5,14 @@ from hypothesis import strategies as st
 
 import slocc.convert
 import slocc.separability
+from slocc.bell import InvalidWeightsError
 from slocc.choi import map_action_bd
 from slocc.convert import (NotConvertibleError, NotEntangledError,
                            NotOrderedError, can_convert_bd,
                            facet_inequalities, lp_oracle_membership,
                            monotones, plambda_vertices, ratio_geq,
                            synthesize_map)
+from slocc.numerics import TOL
 from slocc.separability import ConvexDecomposition, is_separable
 from test_acceptance import _near_facet_pair, _random_ordered_entangled
 
@@ -137,19 +139,23 @@ def test_synthesized_map_lies_in_separable_cone():
         checked += 1
 
 
-def test_yes_solves_one_lp(monkeypatch):
+def test_yes_solves_no_lp(monkeypatch):
     calls = []
-    original = slocc.numerics.convex_membership
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def counted(original):
+        def wrapper(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(slocc.convert, "convex_membership", counted)
-    monkeypatch.setattr(slocc.separability, "convex_membership", counted)
+    for module, name in ((slocc.numerics, "convex_membership"),
+                         (slocc.numerics, "_hull_coefficients"),
+                         (slocc.convert, "_hull_coefficients"),
+                         (slocc.separability, "convex_membership")):
+        monkeypatch.setattr(module, name, counted(getattr(module, name)))
     d = can_convert_bd(LAM, np.array([0.6, 0.25, 0.1, 0.05]))
     assert d.convertible and d.rmatrix is not None
-    assert len(calls) == 1
+    assert len(calls) == 0
 
 
 def test_corrupted_vertex_index_is_caught(monkeypatch):
@@ -174,6 +180,35 @@ def test_yes_from_source_with_tiny_weight(t):
     assert d.convertible
     image, _ = map_action_bd(d.rmatrix, lam)
     assert np.abs(image - lam_p).max() < 1e-10
+
+
+@pytest.mark.parametrize("k", [7, 9, 11])
+def test_yes_on_edges_of_a_thin_polytope(k):
+    # lam_1 - 1/2 = 10^-k: barycentric weights of targets on an edge of
+    # P_lam can read outside by far more than TOL.equality though the
+    # targets miss the edge by rounding only; the 9-vertex LP raised
+    # DegenerateInputError on some of them
+    lam = np.array([0.5 + 10.0 ** -k, 0.25, 0.15, 0.1 - 10.0 ** -k])
+    verts = plambda_vertices(lam)
+    for i in range(len(verts)):
+        for j in range(i + 1, len(verts)):
+            p = 0.25 * verts[i] + 0.75 * verts[j]
+            lam_p = np.concatenate(([p[0]], np.sort(p[1:])[::-1]))
+            if lam_p[0] <= 0.5 + 1e-12 or \
+                    not can_convert_bd(lam, lam_p, with_map=False).convertible:
+                continue
+            r = can_convert_bd(lam, lam_p).rmatrix
+            image, _ = map_action_bd(r, lam)
+            assert np.abs(image - lam_p).max() <= TOL.equality
+
+
+@pytest.mark.parametrize("bad", [
+    [np.nan, 0.5, 0.5, 0.0], [0.7, 0.1, 0.1, np.nan]])
+def test_nan_weights_rejected(bad):
+    with pytest.raises(InvalidWeightsError):
+        can_convert_bd(bad, LAM)
+    with pytest.raises(InvalidWeightsError):
+        can_convert_bd(LAM, bad)
 
 
 @st.composite
@@ -224,3 +259,48 @@ def test_lp_oracle_tail_permutation_symmetric(lam, raw, tail):
     lam_p = raw / raw.sum()
     assert lp_oracle_membership(lam, lam_p) == \
         lp_oracle_membership(lam, lam_p[[0, *tail]])
+
+
+@st.composite
+def _certificate_case(draw):
+    """A source with or without ties and a target that is random or a
+    convex combination of 2-3 vertices of its reachable polytope."""
+    lam = draw(_ordered_entangled())
+    tail = lam[1:].copy()
+    tie = draw(st.sampled_from(
+        ("none", "l2=l3", "l3=l4", "l2=l3=l4", "l4=0", "bell")))
+    if tie == "l2=l3":
+        tail[:2] = tail[:2].mean()
+    elif tie == "l3=l4":
+        tail[1:] = tail[1:].mean()
+    elif tie == "l2=l3=l4":
+        tail[:] = tail.mean()
+    elif tie == "l4=0":
+        tail[:2] += tail[2] / 2
+        tail[2] = 0.0
+    lam = np.array([1.0, 0.0, 0.0, 0.0]) if tie == "bell" \
+        else np.concatenate(([lam[0]], tail))
+    k = draw(st.sampled_from((0, 2, 3)))
+    if k == 0:
+        return lam, draw(_ordered_entangled())
+    verts = plambda_vertices(lam)
+    idx = draw(st.lists(st.integers(0, len(verts) - 1), min_size=k,
+                        max_size=k, unique=True))
+    w = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=k,
+                               max_size=k)))
+    p = (w / w.sum()) @ verts[idx]
+    assume(p[0] > 0.5 + 1e-9)
+    return lam, np.concatenate(([p[0]], np.sort(p[1:])[::-1]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_certificate_case())
+def test_yes_certificate_replays_and_agrees_with_oracles(case):
+    lam, lam_p = case
+    d = can_convert_bd(lam, lam_p)
+    assume(d.convertible)
+    image, _ = map_action_bd(d.rmatrix, lam)
+    assert np.abs(image - lam_p).max() <= TOL.equality
+    r = d.rmatrix
+    assert isinstance(is_separable(r / r.sum()), ConvexDecomposition)
+    assert lp_oracle_membership(lam, lam_p)

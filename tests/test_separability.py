@@ -80,6 +80,12 @@ def test_validate_rmatrix():
         validate_rmatrix(np.eye(4))  # sums to 4
     with pytest.raises(InvalidStateError):
         validate_rmatrix(-D0)
+    nan = D0.copy()
+    nan[3, 0] = np.nan
+    with pytest.raises(InvalidStateError):
+        validate_rmatrix(nan)
+    with pytest.raises(InvalidStateError):
+        is_separable(nan)
 
 
 def test_seed_states_separable_with_tight_decomposition():
