@@ -55,5 +55,4 @@ for k, name in enumerate(("W1", "W2", "W3", "W4")):
     print(f"  {name}: {val:+.2e}")
 
 res = verify_extension_certificate_W2()
-print(f"\nW2 extension certificate: residual {res.residual:.2e} "
-      f"under encoding {res.matched_encoding}")
+print(f"\nW2 extension certificate: residual {res.residual:.2e}")

@@ -59,15 +59,15 @@ class OutOfTetrahedronError(NumericsError):
     pass
 
 
-def validate_weights(lam, tol_neg=1e-12, tol_sum=TOL.equality):
+def validate_weights(lam):
     """Return `lam` as a float array after checking the probability invariants."""
     lam = np.asarray(lam, dtype=float)
     if lam.shape != (4,):
         raise InvalidWeightsError("weight vector must have 4 components")
     # negated comparisons, so a NaN entry fails them
-    if not lam.min() >= -tol_neg:
+    if not lam.min() >= -TOL.tie:
         raise InvalidWeightsError(f"negative weight {lam.min()}")
-    if not abs(lam.sum() - 1.0) <= tol_sum:
+    if not abs(lam.sum() - 1.0) <= TOL.equality:
         raise InvalidWeightsError(f"weights sum to {lam.sum()}, expected 1")
     return lam
 
@@ -103,13 +103,14 @@ def weights_to_coords(lam):
     return BELL_COORDS.T @ lam
 
 
-def coords_to_weights(xyz, tol=1e-9):
+def coords_to_weights(xyz):
     """Inverse of weights_to_coords; point must lie in the state tetrahedron."""
     xyz = np.asarray(xyz, dtype=float)
     A = np.vstack([BELL_COORDS.T, np.ones(4)])
     b = np.concatenate([xyz, [1.0]])
     lam, *_ = np.linalg.lstsq(A, b, rcond=None)
-    if np.abs(A @ lam - b).max() > tol or lam.min() < -tol:
+    if np.abs(A @ lam - b).max() > -TOL.psd_slack \
+            or lam.min() < TOL.psd_slack:
         raise OutOfTetrahedronError(f"point {xyz} outside the Bell tetrahedron")
     return lam
 
@@ -125,9 +126,9 @@ def canonical_order(lam):
     return lam[perm], tuple(int(p) for p in perm)
 
 
-def is_ordered(lam, tol=1e-12):
+def is_ordered(lam):
     lam = np.asarray(lam, dtype=float)
-    return bool(np.all(np.diff(lam) <= tol))
+    return bool(np.all(np.diff(lam) <= TOL.tie))
 
 
 def is_entangled_bd(lam):
@@ -141,4 +142,4 @@ def is_entangled_bd(lam):
 
 def _exceeds_half(lam):
     """is_entangled_bd for an already validated weight vector."""
-    return bool(lam.max() > 0.5 + 1e-12)
+    return bool(lam.max() > 0.5 + TOL.tie)

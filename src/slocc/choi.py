@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bell import PAULIS, validate_weights
-from .numerics import NumericsError, kron, partial_trace
+from .numerics import TOL, NumericsError, kron, partial_trace
 from .symmetric import (QubitOrdering, bell_permutation_factors,
                         project_to_commutant, reorder)
 
@@ -58,14 +58,14 @@ class SeparableMap:
                             scale=self.scale * s)
 
 
-def apply_map_density(sep_map, rho, annihilation_tol=1e-14):
+def apply_map_density(sep_map, rho):
     """(normalized output, success weight tr sigma) of the Kraus action."""
     rho = np.asarray(rho, dtype=complex)
     sigma = np.zeros_like(rho)
     for K in sep_map.combined():
         sigma += K @ rho @ K.conj().T
     weight = float(np.real(np.trace(sigma)))
-    if weight < annihilation_tol:
+    if weight < TOL.negligible:
         raise AnnihilatedError("map annihilates the input state")
     return sigma / weight, weight
 
@@ -79,7 +79,7 @@ def map_action_bd(r, lam):
     lam = validate_weights(lam)
     v = r @ lam
     weight = float(v.sum())
-    if weight < 1e-14:
+    if weight < TOL.negligible:
         raise AnnihilatedError("r-matrix annihilates these weights")
     return v / weight, weight
 
@@ -104,15 +104,13 @@ def cj_state(sep_map):
     return out
 
 
-def cj_rmatrix(sep_map, normalize=True):
+def cj_rmatrix(sep_map):
     """Commutant projection of the dual state; normalized to unit mass."""
     r = project_to_commutant(cj_state(sep_map), QubitOrdering.CUT)
-    if normalize:
-        total = r.sum()
-        if total < 1e-14:
-            raise AnnihilatedError("dual state has zero symmetric component")
-        r = r / total
-    return r
+    total = r.sum()
+    if total < TOL.negligible:
+        raise AnnihilatedError("dual state has zero symmetric component")
+    return r / total
 
 
 def channel_from_cj(rho_dual, rho_in, ordering=QubitOrdering.CUT):
@@ -129,11 +127,11 @@ def channel_from_cj(rho_dual, rho_in, ordering=QubitOrdering.CUT):
     return partial_trace(rho_dual @ op, (2, 2, 2, 2), keep=(0, 1))
 
 
-def _vertex_structure(v, tol=1e-12):
+def _vertex_structure(v):
     """Classify a polytope vertex: ('D', perm) or ('G', rows, cols)."""
     v = np.asarray(v, dtype=float)
-    pattern = np.isclose(v, 0.25, atol=tol)
-    if not np.all(np.isclose(v, 0.0, atol=tol) | pattern):
+    pattern = np.isclose(v, 0.25, atol=TOL.tie)
+    if not np.all(np.isclose(v, 0.0, atol=TOL.tie) | pattern):
         raise NotAVertexError("entries are not all in {0, 1/4}")
     if pattern.sum() == 4 and np.all(pattern.sum(axis=0) == 1) \
             and np.all(pattern.sum(axis=1) == 1):

@@ -24,7 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .bell import canonical_order, density_to_weights, is_entangled_bd
+from .bell import (canonical_order, density_to_weights, is_entangled_bd,
+                   validate_weights)
 from .choi import apply_map_density, map_action_bd, quasi_reverse_map, rho_nd, \
     rho_nd_prime
 from .convert import can_convert_bd, lp_oracle_membership, monotones
@@ -92,11 +93,11 @@ def parse_state_file(path):
         lam = obj.get("lambda")
         if not isinstance(lam, list) or len(lam) != 4:
             raise InputError(f"{path}: 'lambda' must be a list of 4 numbers")
-        lam = np.array([_finite(x, f"{path}: lambda[{i}]")
-                        for i, x in enumerate(lam)])
-        if lam.min() < -1e-12 or abs(lam.sum() - 1.0) > 1e-10:
-            raise InputError(f"{path}: weights must be nonnegative and sum to 1")
-        return "weights", np.clip(lam, 0.0, None)
+        lam = [_finite(x, f"{path}: lambda[{i}]") for i, x in enumerate(lam)]
+        try:
+            return "weights", np.clip(validate_weights(lam), 0.0, None)
+        except NumericsError as exc:
+            raise InputError(f"{path}: {exc}") from exc
     if kind == "rmatrix":
         r = _parse_real_matrix(obj.get("r"), f"{path}: r")
         try:
@@ -199,7 +200,7 @@ def cmd_convert(args):
     r = decision.rmatrix
     image, weight = map_action_bd(r, lam)
     replay_dev = float(np.abs(image - lam_p).max())
-    if replay_dev > 1e-10:
+    if replay_dev > TOL.equality:
         print(f"internal error: replay deviation {replay_dev:.3e}",
               file=sys.stderr)
         return EXIT_ERROR
@@ -223,12 +224,12 @@ def cmd_separable(args):
         verts = vertex_set()
         recon = sum(w * v for w, v in zip(cert.weights, verts))
         dev = float(np.abs(recon - payload).max())
-        if dev > 1e-8:
+        if dev > TOL.solver:
             print(f"internal error: decomposition deviation {dev:.3e}",
                   file=sys.stderr)
             return EXIT_ERROR
         support = [(i, float(w)) for i, w in enumerate(cert.weights)
-                   if w > 1e-12]
+                   if w > TOL.tie]
         lines = ["SEPARABLE",
                  f"decomposition deviation: {_fmt(dev)}"]
         lines += [f"vertex {i}: weight {_fmt(w)}" for i, w in support]
@@ -238,7 +239,7 @@ def cmd_separable(args):
         return EXIT_YES
     assert isinstance(cert, ViolatedWitness)
     value = witness_value(cert.witness, payload)  # re-verify before exit
-    if value > -1e-12:
+    if value > -TOL.tie:
         print("internal error: witness value not negative on re-check",
               file=sys.stderr)
         return EXIT_ERROR
@@ -302,7 +303,7 @@ def _selfcheck_items(seed):
         for k, name in enumerate(("W1", "W2", "W3", "W4")):
             Z = assemble(CANONICAL_WITNESSES[name], QubitOrdering.CUT)
             val, _ = seesaw_min_product(Z, restarts=60, rng=int(seeds[k]))
-            if val < -1e-8:
+            if val < -TOL.solver:
                 return False, f"{name} see-saw min {val:.3e}"
         neg = np.zeros((4, 4))
         neg[3, 0] = -1.0
@@ -313,15 +314,15 @@ def _selfcheck_items(seed):
         return True, "W1..W4 >= -1e-8, control <= -0.2"
 
     def w2_certificate():
-        res = verify_extension_certificate_W2(tol=1e-10)
-        return True, f"residual {res.residual:.3e} ({res.matched_encoding})"
+        res = verify_extension_certificate_W2()
+        return True, f"residual {res.residual:.3e}"
 
     def quasi_reverse():
         worst = 0.0
         for b in (0.0, 0.1, 0.25, 0.4, 0.5):
             out, _ = apply_map_density(quasi_reverse_map(b), rho_nd_prime(b))
             worst = max(worst, float(np.abs(out - rho_nd(b)).max()))
-        if worst > 1e-10:
+        if worst > TOL.equality:
             return False, f"worst residual {worst:.3e}"
         return True, f"worst residual {worst:.3e}"
 
@@ -414,7 +415,7 @@ def build_parser():
                         help="machine-readable JSON output")
     parser.add_argument("--seed", type=int, default=0,
                         help="RNG seed for selfcheck (default 0)")
-    parser.add_argument("--tol", type=float, default=1e-10,
+    parser.add_argument("--tol", type=float, default=TOL.equality,
                         help="tolerance for Bell-diagonality checks")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -21,8 +21,8 @@ their convex weights come from one batched solve of all 126 four-vertex
 barycentric systems, with no LP.  Each vertex is the image of a generating
 map that is itself a vertex of the separable polytope
 (`separability.vertex_set()`), so the map's separability certificate is
-built along with it and checked by reconstruction.  The 9-vertex LP stays
-as the independent oracle (`lp_oracle_membership`).
+built along with it.  The 9-vertex LP stays as the independent oracle
+(`lp_oracle_membership`).
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ import numpy as np
 from .bell import (_exceeds_half, is_ordered, validate_weights,
                    weights_to_coords)
 from .numerics import TOL, NumericsError, _hull_coefficients
-from .separability import _vertex_array, vertex_set
 
 
 class NotOrderedError(NumericsError):
@@ -157,12 +156,11 @@ _SUBSETS = np.array(list(itertools.combinations(range(9), 4)))
 
 @lru_cache(maxsize=1)
 def _generating_maps():
-    """The nine generating r-matrices, each with its index in vertex_set().
+    """The nine generating r-matrices, each an element of vertex_set().
 
     A tail permutation is 1/4 times a permutation matrix (a D0-orbit vertex),
     a half-half map a block of 1/4 (a G0-orbit vertex).  Neither depends on
-    lam.  The index lookup raises KeyError if a map is not a vertex, so the
-    cache is built only when all nine are.
+    lam.
     """
     maps = []
     for perm in _TAIL_PERMS:
@@ -175,8 +173,7 @@ def _generating_maps():
         r = np.zeros((4, 4))
         r[np.ix_((0, i), (0, 1))] = 0.25  # block prepares (Phi_1 + Phi_{i+1})/2
         maps.append(r)
-    index = {v.tobytes(): j for j, v in enumerate(vertex_set())}
-    return tuple((r, index[r.tobytes()]) for r in maps)
+    return tuple(maps)
 
 
 def _labelled_vertices(lam):
@@ -196,7 +193,7 @@ def plambda_vertices(lam):
     verts, _ = _labelled_vertices(_require_ordered_entangled(lam))
     unique = []
     for v in verts:
-        if not any(np.abs(v - u).max() <= TOL.duplicate for u in unique):
+        if not any(np.abs(v - u).max() <= TOL.tie for u in unique):
             unique.append(v)
     return np.array(unique)
 
@@ -218,7 +215,7 @@ class FacetInequalities:
         """lam'_1 <= lam_1 (constant-leading-weight facet)."""
         lam_prime = validate_weights(lam_prime)
         lhs = float(lam_prime[0])
-        return lhs, lhs <= self.lam[0] + 1e-12
+        return lhs, lhs <= self.lam[0] + TOL.tie
 
     def f2(self, lam_prime):
         """Coordinate form: ((l3+l4)/(l1-l2)) (<xx> - <yy>) + <zz> <= 1."""
@@ -228,7 +225,7 @@ class FacetInequalities:
         if self.f2_degenerate:
             raise ZeroDivisionError("F2 coordinate form degenerate: l1 == l2")
         lhs = (l3 + l4) / (l1 - l2) * (xx - yy) + zz
-        return float(lhs), lhs <= 1 + 1e-12
+        return float(lhs), lhs <= 1 + TOL.tie
 
     def f3(self, lam_prime):
         """Coordinate form: <xx> + <zz> - ((1-2l1+2l4)/(1-2l2-2l3)) <yy> <= 1."""
@@ -238,7 +235,7 @@ class FacetInequalities:
         if self.f3_degenerate:
             raise ZeroDivisionError("F3 coordinate form degenerate")
         lhs = xx + zz - (1 - 2 * l1 + 2 * l4) / (1 - 2 * l2 - 2 * l3) * yy
-        return float(lhs), lhs <= 1 + 1e-12
+        return float(lhs), lhs <= 1 + TOL.tie
 
 
 def facet_inequalities(lam):
@@ -246,8 +243,8 @@ def facet_inequalities(lam):
     lam = _require_ordered_entangled(lam)
     return FacetInequalities(
         lam=lam,
-        f2_degenerate=bool(abs(lam[0] - lam[1]) <= 1e-12),
-        f3_degenerate=bool(abs(1 - 2 * lam[1] - 2 * lam[2]) <= 1e-12),
+        f2_degenerate=bool(abs(lam[0] - lam[1]) <= TOL.tie),
+        f3_degenerate=bool(abs(1 - 2 * lam[1] - 2 * lam[2]) <= TOL.tie),
     )
 
 
@@ -305,8 +302,8 @@ def synthesize_map(lam, lam_prime):
     reweights so the unnormalized images align: r lam / ||r lam||_1 = lam'.
     Every generating r-matrix is a vertex of the separable polytope, so the
     same weights, normalized, form a ConvexDecomposition of r / sum(r) over
-    vertex_set(): the map is certified by construction, and the certificate
-    is checked by rebuilding r from it, as the replay of lam' is checked.
+    vertex_set(): the map is certified by construction.  The replay of lam'
+    is checked.
     """
     return _synthesize_map(_require_ordered_entangled(lam),
                            _require_ordered_entangled(lam_prime))
@@ -316,25 +313,12 @@ def _synthesize_map(lam, lam_prime):
     verts, success = _labelled_vertices(lam)
     maps = _generating_maps()
     r_total = np.zeros((4, 4))
-    weights = np.zeros(len(vertex_set()))
     for k, c in zip(*_caratheodory(verts, lam, lam_prime)):
         if c > TOL.negligible:
-            r, j = maps[k]
-            r_total += (c / success[k]) * r
-            weights[j] += c / success[k]
-    # self-checks: action reproduces the target, and the vertex weights
-    # rebuild the normalized map (its separability certificate).  The weights
-    # are nonnegative by construction and _generating_maps() proved each
-    # index once, when it built its cache; the rebuild is a defensive
-    # re-check of that cached invariant (about 20 us), so a wrong index can
-    # never yield an uncertified map.
+            r_total += (c / success[k]) * maps[k]
+    # self-check: the action reproduces the target
     image = r_total @ lam
     image = image / image.sum()
     if np.abs(image - lam_prime).max() > TOL.equality:
         raise NotConvertibleError("synthesized map fails to reproduce target")
-    weights /= weights.sum()
-    rebuilt = np.tensordot(weights, _vertex_array(), axes=1)
-    if weights.min() < 0 or \
-            np.abs(rebuilt - r_total / r_total.sum()).max() > TOL.equality:
-        raise NotConvertibleError("synthesized map not in the separable cone")
     return r_total

@@ -47,33 +47,34 @@ def concurrence(rho):
     return float(max(0.0, w[0] - w[1] - w[2] - w[3]))
 
 
-def _validate_state(rho, psd_slack=-1e-9, trace_tol=1e-10):
+def _validate_state(rho):
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4) or np.abs(rho - rho.conj().T).max() > 1e-10:
+    if rho.shape != (4, 4) or np.abs(rho - rho.conj().T).max() > TOL.equality:
         raise InvalidStateError("expected a 4x4 Hermitian matrix")
-    if abs(np.trace(rho).real - 1.0) > trace_tol:
+    if abs(np.trace(rho).real - 1.0) > TOL.equality:
         raise InvalidStateError(f"trace {np.trace(rho).real}, expected 1")
-    if np.linalg.eigvalsh(rho).min() < psd_slack:
+    if np.linalg.eigvalsh(rho).min() < TOL.psd_slack:
         raise InvalidStateError("state is not positive semidefinite")
     return rho
 
 
-def is_ppt(rho, tol=TOL.ppt):
+def is_ppt(rho):
     """Positive partial transpose: exact separability test for two qubits."""
     pt = partial_transpose(rho, (2, 2), 1)
-    return bool(np.linalg.eigvalsh(pt).min() >= tol)
+    return bool(np.linalg.eigvalsh(pt).min() >= TOL.ppt)
 
 
 def _marginal(rho, side):
     return partial_trace(rho, (2, 2), keep=(side,))
 
 
-def _filter_from_marginal(marginal, omega):
-    # (2 m)^(-omega/2); omega = 1 is the plain inverse-square-root filter,
-    # omega = 1.5 over-relaxes toward the same fixed point but converges
-    # noticeably faster on states near the quasi-distillable boundary.
+def _filter_from_marginal(marginal):
+    # (2 m)^(-omega/2) with omega = 1.5; omega = 1 is the plain
+    # inverse-square-root filter, omega = 1.5 over-relaxes toward the same
+    # fixed point but converges noticeably faster on states near the
+    # quasi-distillable boundary.
     w, v = np.linalg.eigh(marginal)
-    return v @ np.diag((2.0 * w) ** (-omega / 2.0)) @ v.conj().T
+    return v @ np.diag((2.0 * w) ** -0.75) @ v.conj().T
 
 
 @dataclass(frozen=True)
@@ -84,18 +85,17 @@ class FilterResult:
     marginal_deviation: float
 
 
-def filter_iteration(rho, max_iter=500, tol=1e-10, blowup_tol=1e-9,
-                     omega=1.5):
+def filter_iteration(rho, max_iter=500):
     """Drive both single-qubit marginals to I/2 by alternating local filters.
 
     An independent oracle for the closed form behind `classify`: on
     convergence the descending eigenvalues of the filtered state are the
     Bell-diagonal weights.  Returns the filtered state, whether both
-    marginals reached I/2 within `tol`, and the number of filter sweeps
-    performed.  It stops early on filter blow-up (a marginal eigenvalue
-    below `blowup_tol`), which the rank-deficient class causes, but slowly
-    converging Bell-diagonal-class states (near rank 2) can also exhaust the
-    sweeps, so non-convergence is not a class signal.
+    marginals reached I/2 within TOL.equality, and the number of filter
+    sweeps performed.  It stops early on filter blow-up (a marginal
+    eigenvalue below TOL.blowup), which the rank-deficient class causes, but
+    slowly converging Bell-diagonal-class states (near rank 2) can also
+    exhaust the sweeps, so non-convergence is not a class signal.
     """
     rho = _validate_state(rho)
     half = np.eye(2) / 2.0
@@ -103,21 +103,21 @@ def filter_iteration(rho, max_iter=500, tol=1e-10, blowup_tol=1e-9,
         ra = _marginal(rho, 0)
         rb = _marginal(rho, 1)
         dev = max(np.abs(ra - half).max(), np.abs(rb - half).max())
-        if dev < tol:
+        if dev < TOL.equality:
             return FilterResult(rho, True, sweep, float(dev))
         if sweep == max_iter:
             break
         if min(np.linalg.eigvalsh(ra).min(), np.linalg.eigvalsh(rb).min()) \
-                < blowup_tol:
+                < TOL.blowup:
             return FilterResult(rho, False, sweep, float(dev))
-        F = _filter_from_marginal(ra, omega)
+        F = _filter_from_marginal(ra)
         K = np.kron(F, np.eye(2))
         rho = K @ rho @ K.conj().T
         rho /= np.trace(rho).real
         rb = _marginal(rho, 1)
-        if np.linalg.eigvalsh(rb).min() < blowup_tol:
+        if np.linalg.eigvalsh(rb).min() < TOL.blowup:
             return FilterResult(rho, False, sweep + 1, float(dev))
-        G = _filter_from_marginal(rb, omega)
+        G = _filter_from_marginal(rb)
         K = np.kron(np.eye(2), G)
         rho = K @ rho @ K.conj().T
         rho /= np.trace(rho).real

@@ -34,10 +34,16 @@ class InvalidStateError(NumericsError):
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Central tolerance record.
+    """Central tolerance record: every threshold of the package is read here.
 
-    equality    -- generic floating-point equality slack
-    psd_slack   -- most negative eigenvalue still treated as >= 0
+    equality    -- generic floating-point equality slack: weights sum to 1,
+                   a trace is 1, a matrix is Hermitian for the state
+                   validators, a replayed certificate reproduces its target,
+                   filtered marginals reach I/2, and the CLI's default --tol
+                   for off-diagonal Bell elements
+    psd_slack   -- most negative eigenvalue still treated as >= 0; the Bell
+                   weights of a correlation point are the eigenvalues of its
+                   state, so it also bounds a weight read off a point
     hermiticity -- max |M - M^dag| entry accepted as Hermitian
     lp          -- feasibility tolerance handed to the LP solver (the HiGHS
                    backend rejects values below 1e-10)
@@ -51,10 +57,22 @@ class Tolerances:
     singular    -- smallest |det| of a four-vertex barycentric system that is
                    solved; below it the four vertices are affinely dependent
                    (duplicates from tied weights, or coplanar)
-    duplicate   -- max entry difference at which two vertices of a reachable
-                   polytope count as one
-    negligible  -- largest convex coefficient still left out of a
-                   synthesized map
+    tie         -- absolute slack at which two weights, or a weight and a
+                   bound, count as equal: ties in a descending order, lam_1
+                   at 1/2, degenerate facet forms, a point on a facet,
+                   coinciding vertices of a reachable polytope, vertex
+                   entries at 0 or 1/4, a weight or r-matrix entry (or a
+                   witness value re-checked by the CLI) at 0, and successive
+                   see-saw values at convergence
+    negligible  -- largest mass still treated as zero: a convex coefficient
+                   left out of a synthesized map, or the success weight of a
+                   map that annihilates its input
+    blowup      -- smallest marginal eigenvalue that filter_iteration still
+                   inverts; below it the filter blows up (rank-deficient
+                   class)
+    solver      -- slack of a re-check on an iterative solver's answer: an LP
+                   decomposition rebuilt from its weights, and the see-saw
+                   minimum of a valid witness over product states
     """
 
     equality: float = 1e-10
@@ -65,8 +83,10 @@ class Tolerances:
     ppt: float = -1e-10
     witness: float = 1e-10
     singular: float = 1e-12
-    duplicate: float = 1e-12
+    tie: float = 1e-12
     negligible: float = 1e-14
+    blowup: float = 1e-9
+    solver: float = 1e-8
 
 
 TOL = Tolerances()
@@ -84,14 +104,15 @@ def is_hermitian(M, tol=TOL.hermiticity):
         np.abs(M - M.conj().T).max() <= tol
 
 
-def hermitian_eigensystem(M, tol=TOL.hermiticity):
+def hermitian_eigensystem(M):
     """Eigenvalues (ascending) and orthonormal eigenvector columns of M.
 
-    Raises NonHermitianError if M is not Hermitian within `tol`.
+    Raises NonHermitianError if M is not Hermitian within TOL.hermiticity.
     """
     M = np.asarray(M, dtype=complex)
-    if not is_hermitian(M, tol):
-        raise NonHermitianError("matrix is not Hermitian within %g" % tol)
+    if not is_hermitian(M):
+        raise NonHermitianError(
+            "matrix is not Hermitian within %g" % TOL.hermiticity)
     if M.shape[0] > 64:
         raise DimensionMismatchError("matrices beyond 64x64 are out of scope")
     vals, vecs = np.linalg.eigh(M)
@@ -179,9 +200,9 @@ def _highs_shift(V):
     return np.where(tiny, 2 * _HIGHS_SMALL_ENTRY - V.min(axis=0), 0.0)
 
 
-def _hull_coefficients(vertices, query):
-    """The feasibility LP of convex_membership alone: convex coefficients
-    expressing `query` over the rows of `vertices`, or None."""
+def _lp_inputs(vertices, query):
+    """`vertices` and `query` as checked float arrays, with the _highs_shift
+    of the vertices' coordinates."""
     V = np.asarray(vertices, dtype=float)
     q = np.asarray(query, dtype=float)
     if V.ndim != 2 or V.shape[0] < 1:
@@ -190,16 +211,26 @@ def _hull_coefficients(vertices, query):
         raise DimensionMismatchError("vertex/query dimension mismatch")
     if not (np.isfinite(V).all() and np.isfinite(q).all()):
         raise DegenerateInputError("non-finite values in vertices or query")
+    return V, q, _highs_shift(V)
+
+
+def _feasibility_lp(Vs, qs):
+    """Convex coefficients expressing qs over the rows of Vs, or None."""
     # scipy is imported here, so paths that solve no LP never load it.
     from scipy.optimize import linprog
-    n = V.shape[0]
-    shift = _highs_shift(V)
-    Vs, qs = V + shift, q + shift
+    n = Vs.shape[0]
     A_eq = np.vstack([Vs.T, np.ones(n)])
     b_eq = np.concatenate([qs, [1.0]])
     res = linprog(np.zeros(n), A_eq=A_eq, b_eq=b_eq, bounds=[(0, None)] * n,
                   method="highs", options=_LP_OPTIONS)
     return res.x if res.status == 0 else None
+
+
+def _hull_coefficients(vertices, query):
+    """The feasibility LP of convex_membership alone: convex coefficients
+    expressing `query` over the rows of `vertices`, or None."""
+    V, q, shift = _lp_inputs(vertices, query)
+    return _feasibility_lp(V + shift, q + shift)
 
 
 def convex_membership(vertices, query):
@@ -208,15 +239,13 @@ def convex_membership(vertices, query):
     Returns Inside(coefficients) or Outside(normal, offset); either branch
     carries a certificate that can be re-verified independently.
     """
-    coefficients = _hull_coefficients(vertices, query)
+    V, q, shift = _lp_inputs(vertices, query)
+    Vs, qs = V + shift, q + shift
+    coefficients = _feasibility_lp(Vs, qs)
     if coefficients is not None:
         return Inside(coefficients=coefficients)
     from scipy.optimize import linprog
-    V = np.asarray(vertices, dtype=float)
-    q = np.asarray(query, dtype=float)
     n, d = V.shape
-    shift = _highs_shift(V)
-    Vs, qs = V + shift, q + shift
     # Infeasible: find a separating affine functional.  Work in the lifted
     # space (v, 1); bounding h keeps the LP bounded, h = 0 is feasible so the
     # optimum is < 0 exactly when the query is outside the hull.

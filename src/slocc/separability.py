@@ -35,8 +35,8 @@ class InternalInconsistencyError(NumericsError):
     """The LP put outside an r-matrix that no witness rejects: a bug."""
 
 
-class NoEncodingMatchesError(NumericsError):
-    pass
+class CertificateMismatchError(NumericsError):
+    """The W2 extension identity fails: the certificate is wrong."""
 
 
 D0 = np.eye(4) / 4.0
@@ -168,14 +168,14 @@ def min_witness_values(r):
     return _witness_stack() @ np.asarray(r, dtype=float).ravel()
 
 
-def validate_rmatrix(r, tol_neg=1e-12, tol_sum=TOL.equality):
+def validate_rmatrix(r):
     r = np.asarray(r, dtype=float)
     if r.shape != (4, 4):
         raise InvalidStateError("r-matrix must be 4x4")
     # negated comparisons, so a NaN entry fails them
-    if not r.min() >= -tol_neg:
+    if not r.min() >= -TOL.tie:
         raise InvalidStateError(f"negative entry {r.min()}")
-    if not abs(r.sum() - 1.0) <= tol_sum:
+    if not abs(r.sum() - 1.0) <= TOL.equality:
         raise InvalidStateError(f"entries sum to {r.sum()}, expected 1")
     return r
 
@@ -204,17 +204,17 @@ def is_separable(r):
         f"(min value {vals.min():.3e})")
 
 
-def seesaw_min_product(Z, restarts=200, rng=None, max_sweeps=500,
-                       conv_tol=1e-12):
+def seesaw_min_product(Z, restarts=200, rng=None):
     """Alternating minimization of <a b| Z |a b> over product vectors.
 
     Z is 16x16 Hermitian in CUT ordering (C^4_A x C^4_B).  Fixing one side,
     the optimal other side is the minimal eigenvector of the contracted 4x4
-    operator.  Returns (best value, (alpha, beta)); an upper bound on the
-    true product-state minimum.
+    operator.  Each restart stops after 500 sweeps, or once two successive
+    values agree within TOL.tie.  Returns (best value, (alpha, beta)); an
+    upper bound on the true product-state minimum.
     """
     Z = np.asarray(Z, dtype=complex)
-    if not is_hermitian(Z, tol=1e-10):
+    if not is_hermitian(Z, tol=TOL.equality):
         raise NonHermitianError("see-saw input must be Hermitian")
     rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
     Zt = Z.reshape(4, 4, 4, 4)
@@ -227,7 +227,7 @@ def seesaw_min_product(Z, restarts=200, rng=None, max_sweeps=500,
         b /= np.linalg.norm(b)
         prev = np.inf
         val = np.inf
-        for _ in range(max_sweeps):
+        for _ in range(500):
             Ma = np.einsum("ikjl,k,l->ij", Zt, b.conj(), b)
             w, v = np.linalg.eigh((Ma + Ma.conj().T) / 2)
             a = v[:, 0]
@@ -235,7 +235,7 @@ def seesaw_min_product(Z, restarts=200, rng=None, max_sweeps=500,
             w, v = np.linalg.eigh((Mb + Mb.conj().T) / 2)
             b = v[:, 0]
             val = w[0]
-            if abs(prev - val) < conv_tol:
+            if abs(prev - val) < TOL.tie:
                 break
             prev = val
         if val < best_val:
@@ -259,33 +259,16 @@ _Z2_VECTOR_TERMS = (
      (+1, 2, 3, 2), (+1, 3, 1, 1), (+1, 3, 3, 3)),
 )
 
-# Candidate encodings of a qudit label i in 0..3 as two qubits: either the
-# primed qubit is the most significant bit (identity relabeling) or the
-# least significant (swap relabeling).
-_LABEL_SWAP = (0, 2, 1, 3)
-_ENCODINGS = {
-    "A-primed-msb|B-primed-msb": (None, None),
-    "A-primed-msb|B-primed-lsb": (None, _LABEL_SWAP),
-    "A-primed-lsb|B-primed-msb": (_LABEL_SWAP, None),
-    "A-primed-lsb|B-primed-lsb": (_LABEL_SWAP, _LABEL_SWAP),
-}
 
-
-def _z_vector(terms, perm_a, perm_b):
-    v = np.zeros(64)
-    pa = perm_a or (0, 1, 2, 3)
-    pb = perm_b or (0, 1, 2, 3)
-    for sign, a1, a2, b in terms:
-        v[pa[a1] * 16 + pa[a2] * 4 + pb[b]] += sign
-    return v
-
-
-def z2_certificate_matrix(encoding="A-primed-msb|B-primed-msb"):
-    """The 64x64 PSD extension certificate under the given label encoding."""
-    perm_a, perm_b = _ENCODINGS[encoding]
+def z2_certificate_matrix():
+    """The 64x64 PSD extension certificate; a qudit label i in 0..3 encodes
+    the qubit pair (primed, double-primed) with the primed qubit as the most
+    significant bit, on both parties."""
     out = np.zeros((64, 64))
     for terms in _Z2_VECTOR_TERMS:
-        v = _z_vector(terms, perm_a, perm_b)
+        v = np.zeros(64)
+        for sign, a1, a2, b in terms:
+            v[a1 * 16 + a2 * 4 + b] += sign
         out += np.outer(v, v)
     return out / 2.0
 
@@ -303,36 +286,26 @@ def symmetric_subspace_projector(d=4):
 
 @dataclass(frozen=True)
 class ExtensionCertificateResult:
-    residuals: dict            # encoding -> max |LHS - RHS|
-    matched_encoding: str
-    residual: float
+    residual: float            # max |LHS - RHS|
 
 
-def verify_extension_certificate_W2(tol=1e-10):
+def verify_extension_certificate_W2():
     """Check the symmetric-extension identity that certifies the W2 witness.
 
     With two A copies and one B copy, the projected operator I_4 (x) Z_w2
     must equal the projected partial transpose (first A copy) of the PSD
-    certificate.  Both sides are compared under each catalogued two-qubit
-    label encoding; returns the residual table and the matching encoding, or
-    raises NoEncodingMatchesError with the per-encoding residuals.
+    certificate.  Returns the residual, or raises CertificateMismatchError
+    if it exceeds TOL.equality.
     """
     Zw = assemble(CANONICAL_WITNESSES["W2"], QubitOrdering.CUT)
     piA = symmetric_subspace_projector(4)
     P = np.kron(piA, np.eye(4))
     lhs = P @ np.kron(np.eye(4), Zw) @ P
-    residuals = {}
-    for name in _ENCODINGS:
-        Z2 = z2_certificate_matrix(name)
-        # partial transpose on the first C^4 factor of C^4 x C^4 x C^4
-        T = Z2.reshape(4, 16, 4, 16)
-        Z2_pt = np.transpose(T, (2, 1, 0, 3)).reshape(64, 64)
-        rhs = P @ Z2_pt @ P
-        residuals[name] = float(np.abs(lhs - rhs).max())
-    best = min(residuals, key=residuals.get)
-    if residuals[best] > tol:
-        raise NoEncodingMatchesError(
-            f"no catalogued encoding matches; residuals {residuals}")
-    return ExtensionCertificateResult(residuals=residuals,
-                                      matched_encoding=best,
-                                      residual=residuals[best])
+    # partial transpose on the first C^4 factor of C^4 x C^4 x C^4
+    T = z2_certificate_matrix().reshape(4, 16, 4, 16)
+    Z2_pt = np.transpose(T, (2, 1, 0, 3)).reshape(64, 64)
+    residual = float(np.abs(lhs - P @ Z2_pt @ P).max())
+    if residual > TOL.equality:
+        raise CertificateMismatchError(
+            f"W2 extension certificate residual {residual:.3e}")
+    return ExtensionCertificateResult(residual=residual)

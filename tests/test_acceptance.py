@@ -165,8 +165,8 @@ def test_criterion_4_facet_certification():
 
 
 def test_criterion_5_extension_certificate():
-    res = verify_extension_certificate_W2(tol=1e-10)
-    Z2 = z2_certificate_matrix(res.matched_encoding)
+    res = verify_extension_certificate_W2()
+    Z2 = z2_certificate_matrix()
     min_eig = np.linalg.eigvalsh(Z2).min()
     rank = np.linalg.matrix_rank(symmetric_subspace_projector(4))
     ok = res.residual <= 1e-10 and min_eig >= -1e-12 and rank == 10

@@ -205,6 +205,18 @@ def test_parse_errors_exit_2(tmp_path, capsys):
     assert main(["monotones", wrongkind]) == 2
 
 
+@pytest.mark.parametrize("lam, message", [
+    ([0.8, 0.3, -0.1, 0.0], "negative weight"),
+    ([0.8, 0.3, 0.1, 0.0], "weights sum to"),
+])
+def test_invalid_weights_exit_2(tmp_path, capsys, lam, message):
+    f = _weights_file(tmp_path, "w.json", lam)
+    assert main(["monotones", f]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {f}: {message}")
+
+
 def test_output_deterministic(worked_pair, capsys):
     src, dst = worked_pair
     main(["convert", src, dst])

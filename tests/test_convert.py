@@ -7,13 +7,12 @@ import slocc.convert
 import slocc.separability
 from slocc.bell import InvalidWeightsError
 from slocc.choi import map_action_bd
-from slocc.convert import (NotConvertibleError, NotEntangledError,
-                           NotOrderedError, can_convert_bd,
+from slocc.convert import (NotEntangledError, NotOrderedError, can_convert_bd,
                            facet_inequalities, lp_oracle_membership,
                            monotones, plambda_vertices, ratio_geq,
                            synthesize_map)
 from slocc.numerics import TOL
-from slocc.separability import ConvexDecomposition, is_separable
+from slocc.separability import ConvexDecomposition, is_separable, vertex_set
 from test_acceptance import _near_facet_pair, _random_ordered_entangled
 
 LAM = np.array([0.7, 0.1, 0.1, 0.1])
@@ -158,15 +157,14 @@ def test_yes_solves_no_lp(monkeypatch):
     assert len(calls) == 0
 
 
-def test_corrupted_vertex_index_is_caught(monkeypatch):
-    # each generating map paired with the next map's vertex index
+def test_generating_maps_are_separable_vertices():
+    # a YES map is a nonnegative combination of these nine, so each being an
+    # element of vertex_set() is its separability certificate
+    vertices = {v.tobytes() for v in vertex_set()}
     maps = slocc.convert._generating_maps()
-    corrupted = tuple((r, maps[(k + 1) % len(maps)][1])
-                      for k, (r, _) in enumerate(maps))
-    monkeypatch.setattr(slocc.convert, "_generating_maps", lambda: corrupted)
-    with pytest.raises(NotConvertibleError, match="separable cone"):
-        synthesize_map(np.array([0.55, 0.25, 0.15, 0.05]),
-                       np.array([0.53, 0.22, 0.15, 0.1]))
+    assert len(maps) == 9
+    for r in maps:
+        assert r.shape == (4, 4) and r.tobytes() in vertices
 
 
 @pytest.mark.parametrize("t", [5e-10, 2e-10, 1e-10, 2e-11])

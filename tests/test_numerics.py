@@ -1,6 +1,14 @@
+import ast
+import inspect
+import io
+import tokenize
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import slocc
+from slocc.cli import _random_ordered_entangled
 from slocc.numerics import (DegenerateInputError, DimensionMismatchError,
                             Inside, NonHermitianError, Outside,
                             convex_membership, hermitian_eigensystem,
@@ -113,3 +121,25 @@ def test_convex_membership_hull_with_tiny_coordinates():
     assert isinstance(outside, Outside)
     assert min(outside.value(v) for v in V) >= 0
     assert outside.value(q) < 0
+
+
+def test_small_float_literals_live_in_numerics():
+    # every threshold is a Tolerances field; the one exception is the floor
+    # of the selfcheck sampler, which draws lambda_1 from (1/2 + 1e-6, 1)
+    source, first = inspect.getsourcelines(_random_ordered_entangled)
+    sampler = range(first, first + len(source))
+    found = []
+    for path in sorted(Path(slocc.__file__).parent.glob("*.py")):
+        if path.name == "numerics.py":
+            continue
+        readline = io.StringIO(path.read_text()).readline
+        for tok in tokenize.generate_tokens(readline):
+            if tok.type != tokenize.NUMBER:
+                continue
+            value = ast.literal_eval(tok.string)
+            if not isinstance(value, float) or not 0 < abs(value) <= 1e-5:
+                continue
+            if path.name == "cli.py" and tok.start[0] in sampler:
+                continue
+            found.append(f"{path.name}:{tok.start[0]}: {tok.string}")
+    assert found == []

@@ -3,8 +3,9 @@ import pytest
 
 import slocc.separability
 from slocc.numerics import Outside, convex_membership, partial_transpose
-from slocc.separability import (CANONICAL_WITNESSES, ConvexDecomposition, D0,
-                                G0, InvalidStateError, ViolatedWitness,
+from slocc.separability import (CANONICAL_WITNESSES, CertificateMismatchError,
+                                ConvexDecomposition, D0, G0,
+                                InvalidStateError, ViolatedWitness,
                                 is_separable, min_witness_values,
                                 seesaw_min_product,
                                 symmetric_subspace_projector, validate_rmatrix,
@@ -152,13 +153,24 @@ def test_seesaw_finds_negative_control():
 
 
 def test_extension_certificate():
-    res = verify_extension_certificate_W2(tol=1e-10)
+    res = verify_extension_certificate_W2()
     assert res.residual <= 1e-10
-    Z2 = z2_certificate_matrix(res.matched_encoding)
+    Z2 = z2_certificate_matrix()
     assert np.linalg.eigvalsh(Z2).min() >= -1e-12
     piA = symmetric_subspace_projector(4)
     assert np.linalg.matrix_rank(piA) == 10
     assert np.abs(piA @ piA - piA).max() < 1e-12
+
+
+def test_extension_certificate_negative_control(monkeypatch):
+    # flipping the sign of one term of one certificate vector moves the
+    # residual to 0.5, so the check must fail
+    terms = [list(vector) for vector in slocc.separability._Z2_VECTOR_TERMS]
+    terms[0][0] = (-terms[0][0][0],) + terms[0][0][1:]
+    monkeypatch.setattr(slocc.separability, "_Z2_VECTOR_TERMS",
+                        tuple(tuple(vector) for vector in terms))
+    with pytest.raises(CertificateMismatchError, match="residual 5.000e-01"):
+        verify_extension_certificate_W2()
 
 
 def test_entangled_solves_no_lp(monkeypatch):
