@@ -104,13 +104,17 @@ def weights_to_coords(lam):
 
 
 def coords_to_weights(xyz):
-    """Inverse of weights_to_coords; point must lie in the state tetrahedron."""
+    """Inverse of weights_to_coords; point must lie in the state tetrahedron.
+
+    The columns of [1 | BELL_COORDS] are orthogonal with squared norm 4, so
+    lam = (1 + BELL_COORDS @ xyz) / 4.
+    """
     xyz = np.asarray(xyz, dtype=float)
-    A = np.vstack([BELL_COORDS.T, np.ones(4)])
-    b = np.concatenate([xyz, [1.0]])
-    lam, *_ = np.linalg.lstsq(A, b, rcond=None)
-    if np.abs(A @ lam - b).max() > -TOL.psd_slack \
-            or lam.min() < TOL.psd_slack:
+    if xyz.shape != (3,):
+        raise OutOfTetrahedronError(f"point {xyz} must have 3 coordinates")
+    lam = (1.0 + BELL_COORDS @ xyz) / 4.0
+    # negated comparison, so a NaN coordinate fails it
+    if not lam.min() >= TOL.psd_slack:
         raise OutOfTetrahedronError(f"point {xyz} outside the Bell tetrahedron")
     return lam
 

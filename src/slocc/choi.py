@@ -16,6 +16,7 @@ import numpy as np
 
 from .bell import PAULIS, validate_weights
 from .numerics import TOL, NumericsError, kron, partial_trace
+from .separability import _vertex_origin
 from .symmetric import (QubitOrdering, bell_permutation_factors,
                         project_to_commutant, reorder)
 
@@ -127,65 +128,29 @@ def channel_from_cj(rho_dual, rho_in, ordering=QubitOrdering.CUT):
     return partial_trace(rho_dual @ op, (2, 2, 2, 2), keep=(0, 1))
 
 
-def _vertex_structure(v):
-    """Classify a polytope vertex: ('D', perm) or ('G', rows, cols)."""
-    v = np.asarray(v, dtype=float)
-    pattern = np.isclose(v, 0.25, atol=TOL.tie)
-    if not np.all(np.isclose(v, 0.0, atol=TOL.tie) | pattern):
-        raise NotAVertexError("entries are not all in {0, 1/4}")
-    if pattern.sum() == 4 and np.all(pattern.sum(axis=0) == 1) \
-            and np.all(pattern.sum(axis=1) == 1):
-        perm = tuple(int(np.argmax(pattern[:, j])) for j in range(4))
-        return "D", perm
-    rows = tuple(int(i) for i in range(4) if pattern[i].any())
-    cols = tuple(int(j) for j in range(4) if pattern[:, j].any())
-    if pattern.sum() == 4 and len(rows) == 2 and len(cols) == 2 \
-            and pattern[np.ix_(rows, cols)].all():
-        return "G", rows, cols
-    raise NotAVertexError("not a D-type or G-type vertex pattern")
-
-
-def _perm_sending(pairs):
-    """Any 4-permutation with the given (src, dst) assignments."""
-    perm = [None] * 4
-    used = set()
-    for src, dst in pairs:
-        perm[src] = dst
-        used.add(dst)
-    rest = iter(d for d in range(4) if d not in used)
-    for k in range(4):
-        if perm[k] is None:
-            perm[k] = next(rest)
-    return tuple(perm)
+# product Kraus pairs of the seed vertices: Bell-correlated Pauli dephasing
+# (D0); measuring span{Phi_1, Phi_2} and preparing their even mixture (G0)
+_SEED_KRAUS = {"D0": [(s / 2 ** 0.5,) * 2 for s in PAULIS],
+               "G0": [(np.outer(e, f) / 2 ** 0.25,) * 2
+                      for e in np.eye(2) for f in np.eye(2)]}
 
 
 def kraus_for_vertex(v):
     """Explicit product-Kraus realization of a polytope vertex map.
 
-    D-type vertices are Bell-correlated Pauli dephasing composed with a Bell
-    permutation unitary; G-type vertices measure a two-Bell-state block and
-    prepare the even mixture of another block.  The returned map is
+    v = seed[rp][:, cp] for a seed D0 or G0 (entries within TOL.tie of 0 or
+    1/4).  The seed's Kraus pairs are conjugated by the Bell permutation
+    cp on the way in and by the inverse of rp on the way out, so Bell j
+    goes to Bell i with weight seed[rp[i], cp[j]].  The returned map is
     normalized and its dual projects back onto v.
     """
-    structure = _vertex_structure(v)
-    if structure[0] == "D":
-        # v[i,j] = 1/4 iff i = p(j): the map moves weight from Bell j to p(j)
-        _, p = structure
-        uA, uB = bell_permutation_factors(p)
-        pairs = [(uA @ (sigma / np.sqrt(2.0)), uB @ (sigma / np.sqrt(2.0)))
-                 for sigma in PAULIS]
-        return SeparableMap(kraus=pairs).normalize()
-    _, rows, cols = structure
-    # canonical block map: measure span{Phi_1, Phi_2}, prepare their mixture
-    e = np.eye(2, dtype=complex)
-    base = [(np.outer(e[a], e[b]) / 2 ** 0.25,
-             np.outer(e[a], e[b]) / 2 ** 0.25)
-            for a in range(2) for b in range(2)]
-    out_perm = _perm_sending([(0, rows[0]), (1, rows[1])])
-    in_perm = _perm_sending([(cols[0], 0), (cols[1], 1)])
-    uA, uB = bell_permutation_factors(out_perm)
-    vA, vB = bell_permutation_factors(in_perm)
-    pairs = [(uA @ A @ vA, uB @ B @ vB) for A, B in base]
+    origin = _vertex_origin(v)
+    if origin is None:
+        raise NotAVertexError("not in the S4 x S4 orbit of D0 or G0")
+    seed, rp, cp = origin
+    uA, uB = bell_permutation_factors(np.argsort(rp))
+    vA, vB = bell_permutation_factors(cp)
+    pairs = [(uA @ A @ vA, uB @ B @ vB) for A, B in _SEED_KRAUS[seed]]
     return SeparableMap(kraus=pairs).normalize()
 
 

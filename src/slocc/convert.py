@@ -18,11 +18,12 @@ special casing.
 A YES comes with an r-matrix.  P_lam is three-dimensional, so by
 Caratheodory's theorem some four of its nine labelled vertices carry lam';
 their convex weights come from one batched solve of all 126 four-vertex
-barycentric systems, with no LP.  Each vertex is the image of a generating
-map that is itself a vertex of the separable polytope
-(`separability.vertex_set()`), so the map's separability certificate is
-built along with it.  The 9-vertex LP stays as the independent oracle
-(`lp_oracle_membership`).
+barycentric systems, with no LP, in coordinates where the tail permutations
+are the layer t = 1 and the half-half mixtures the layer t = 0.  Each vertex
+is the image of a generating map, a row permutation of D0 or of G0, that is
+itself a vertex of the separable polytope (`separability.vertex_set()`), so
+the map's separability certificate is built along with it.  The 9-vertex LP
+stays as the independent oracle (`lp_oracle_membership`).
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ import numpy as np
 from .bell import (_exceeds_half, is_ordered, validate_weights,
                    weights_to_coords)
 from .numerics import TOL, NumericsError, _hull_coefficients
+from .separability import D0, G0
 
 
 class NotOrderedError(NumericsError):
@@ -152,28 +154,25 @@ _TAIL_PERMS = np.array([(0,) + p
 # every four of the nine labelled vertices (six tail permutations, then the
 # three half-half mixtures): the candidate Caratheodory subsets
 _SUBSETS = np.array(list(itertools.combinations(range(9), 4)))
+# affine coordinates (1, t, x_2, x_3) of the labelled vertices, x_2 and x_3
+# left to fill: t = (x_1 - 1/2)/(lam_1 - 1/2) is 1 on a tail permutation
+# and 0 on a half-half mixture, whatever lam
+_LIFTED = np.column_stack((np.ones(9), [1.0] * 6 + [0.0] * 3, np.zeros((9, 2))))
 
 
 @lru_cache(maxsize=1)
 def _generating_maps():
     """The nine generating r-matrices, each an element of vertex_set().
 
-    A tail permutation is 1/4 times a permutation matrix (a D0-orbit vertex),
-    a half-half map a block of 1/4 (a G0-orbit vertex).  Neither depends on
+    A tail permutation is a row permutation of D0; half-half map i is G0
+    with the second row of its block moved to row i.  Neither depends on
     lam.
     """
-    maps = []
-    for perm in _TAIL_PERMS:
-        r = np.zeros((4, 4))
-        # vec_i = lam[perm[i]]: weight moves from Bell perm[i] to Bell i
-        for i in range(4):
-            r[i, perm[i]] = 0.25
-        maps.append(r)
-    for i in (1, 2, 3):
-        r = np.zeros((4, 4))
-        r[np.ix_((0, i), (0, 1))] = 0.25  # block prepares (Phi_1 + Phi_{i+1})/2
-        maps.append(r)
-    return tuple(maps)
+    # vec_i = lam[perm[i]]: weight moves from Bell perm[i] to Bell i; the
+    # block of half-half map i prepares (Phi_1 + Phi_{i+1})/2
+    return tuple([D0[perm] for perm in _TAIL_PERMS]
+                 + [G0[[0] + [1 if k == i else 2 for k in (1, 2, 3)]]
+                    for i in (1, 2, 3)])
 
 
 def _labelled_vertices(lam):
@@ -248,46 +247,36 @@ def facet_inequalities(lam):
     )
 
 
-def _lift(x, lam):
-    """Affine coordinates (1, t, x_2, x_3) of weight vectors x (last axis).
-
-    t = (x_1 - 1/2) / (lam_1 - 1/2) puts the half-half vertices of P_lam at
-    t = 0 and its tail permutations at t = 1, so the barycentric
-    determinants do not shrink as lam_1 nears 1/2.  Barycentric coordinates
-    are affine-invariant: the lift changes no convex weight.
-    """
-    out = np.ones(x.shape)
-    out[..., 1] = (x[..., 0] - 0.5) / (lam[0] - 0.5)
-    out[..., 2:] = x[..., 1:3]
-    return out
-
-
 def _caratheodory(verts, lam, lam_prime):
     """(vertex indices, convex weights) of four labelled vertices carrying
-    lam'.  All 126 four-vertex systems are solved in one batch, the
-    affinely dependent ones dropped by their determinant; the subset whose
-    smallest weight is largest wins.  A weight below -TOL.equality raises
-    NotConvertibleError, unless projecting lam' onto a face (below) mends
-    it; the caller leaves weights at or below TOL.negligible out."""
-    A = _lift(verts, lam)[_SUBSETS].transpose(0, 2, 1)  # columns: vertices
+    lam'.
+
+    All 126 four-vertex systems are solved in one batch in the coordinates
+    (1, t, x_2, x_3), whose determinants do not shrink as lam_1 nears 1/2;
+    affinely dependent subsets are dropped by their determinant, and the
+    subset whose smallest weight is largest wins.  lam' sits at the smallest
+    t of (lam'_1 - 1/2)/(lam_1 - 1/2), (lam'_3 + lam'_4)/(lam_3 + lam_4) and
+    lam'_4/lam_4 (bounds on the tail layer's smallest weights; a zero
+    denominator is skipped).  On a YES the first is the smallest in exact
+    arithmetic; the minimum keeps rounding from pushing lam' past a facet,
+    and moves the replayed lam'_1 by the change in t times lam_1 - 1/2.  A
+    weight below -TOL.equality raises NotConvertibleError; the caller leaves
+    weights at or below TOL.negligible out.
+    """
+    l1, _, l3, l4 = lam.tolist()
+    p1, p2, p3, p4 = lam_prime.tolist()
+    t = min(n / d for n, d in ((p1 - 0.5, l1 - 0.5), (p3 + p4, l3 + l4),
+                               (p4, l4)) if d > 0)
+    lifted = _LIFTED.copy()
+    lifted[:, 2:] = verts[:, 1:3]
+    A = lifted[_SUBSETS].transpose(0, 2, 1)  # columns: vertices
     with np.errstate(divide="ignore"):  # subnormal weights: LU divides by 0
         solvable = np.abs(np.linalg.det(A)) > TOL.singular
     # b as a column: numpy < 2 reads a 1-d b against stacked A differently
-    b = _lift(lam_prime, lam)[:, None]
+    b = np.array([[1.0], [t], [p2], [p3]])
     coeffs = np.linalg.solve(A[solvable], b)[..., 0]
     best = int(np.argmax(coeffs.min(axis=1)))
     subset, c = _SUBSETS[solvable][best], coeffs[best]
-    if not c.min() >= -TOL.equality:
-        # Barycentric weights scale distances by the inverse width of
-        # P_lam, which is lam_1 - 1/2 across its two vertex layers, so a
-        # target on a face within rounding can read as outside by far more
-        # than TOL.equality.  Project it onto the face of the subset's
-        # positive weights, in weight space; the replay then decides.
-        face = c > 0
-        system = np.vstack([verts[subset[face]].T, np.ones(face.sum())])
-        c[face] = np.linalg.lstsq(system, np.append(lam_prime, 1.0),
-                                  rcond=None)[0]
-        c[~face] = 0.0
     if not c.min() >= -TOL.equality:
         raise NotConvertibleError(f"{lam_prime} outside the reachable polytope")
     return subset, c
@@ -297,13 +286,14 @@ def synthesize_map(lam, lam_prime):
     """An explicit separable-cone r-matrix realizing lam -> lam'.
 
     Writes lam' as a convex combination of four labelled vertices of the
-    reachable polytope (one batched barycentric solve, no LP; see
-    _caratheodory), maps each vertex to its generating vertex r-matrix, and
-    reweights so the unnormalized images align: r lam / ||r lam||_1 = lam'.
-    Every generating r-matrix is a vertex of the separable polytope, so the
-    same weights, normalized, form a ConvexDecomposition of r / sum(r) over
-    vertex_set(): the map is certified by construction.  The replay of lam'
-    is checked.
+    reachable polytope (one batched barycentric solve in the layer
+    coordinates, no LP; see _caratheodory), maps each vertex to its
+    generating vertex r-matrix, and reweights so the unnormalized images
+    align: r lam / ||r lam||_1 = lam'.  Every generating r-matrix is a
+    vertex of the separable polytope, so the same weights, normalized, form
+    a ConvexDecomposition of r / sum(r) over vertex_set(): the map is
+    certified by construction.  The replay of lam' is checked within
+    TOL.equality; a pair the monotones refuse raises NotConvertibleError.
     """
     return _synthesize_map(_require_ordered_entangled(lam),
                            _require_ordered_entangled(lam_prime))

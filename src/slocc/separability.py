@@ -96,20 +96,42 @@ class ViolatedWitness:
     value: float
 
 
+def _orbit(base):
+    """Each distinct base[rp][:, cp], read-only, with the first (rp, cp) in
+    lexicographic order that gives it."""
+    seen = set()
+    for rp, cp in itertools.product(itertools.permutations(range(4)),
+                                    repeat=2):
+        m = base[np.ix_(rp, cp)]
+        key = m.tobytes()
+        if key not in seen:
+            seen.add(key)
+            m.setflags(write=False)
+            yield m, rp, cp
+
+
 @lru_cache(maxsize=1)
 def vertex_set():
     """The 60 polytope vertices: S4 x S4 orbits of D0 (24) and G0 (36)."""
-    seen = {}
-    for base in (D0, G0):
-        for rp in itertools.permutations(range(4)):
-            for cp in itertools.permutations(range(4)):
-                v = base[np.ix_(rp, cp)]
-                key = v.tobytes()
-                if key not in seen:
-                    v = v.copy()
-                    v.setflags(write=False)
-                    seen[key] = v
-    return tuple(seen.values())
+    return tuple(v for base in (D0, G0) for v, _, _ in _orbit(base))
+
+
+@lru_cache(maxsize=1)
+def _vertex_origins():
+    """{vertex bytes: (seed name, rp, cp)} over vertex_set()."""
+    return {v.tobytes(): (name, rp, cp)
+            for name, base in (("D0", D0), ("G0", G0))
+            for v, rp, cp in _orbit(base)}
+
+
+def _vertex_origin(v):
+    """(seed name, rp, cp) with v = seed[rp][:, cp], each entry within
+    TOL.tie of 0 or 1/4; None if v is no vertex."""
+    v = np.asarray(v, dtype=float)
+    snapped = np.where(np.abs(v - 0.25) <= TOL.tie, 0.25,
+                       np.where(np.abs(v) <= TOL.tie, 0.0, np.nan))
+    return _vertex_origins().get(snapped.tobytes()) \
+        if v.shape == (4, 4) else None
 
 
 @lru_cache(maxsize=1)
@@ -131,23 +153,12 @@ def witness_orbit():
     then the transposed W2..W4.
     """
     out = []
-    seen = set()
     for family, transposed in ([(f, False) for f in CANONICAL_WITNESSES]
                                + [(f, True) for f in ("W2", "W3", "W4")]):
         base = CANONICAL_WITNESSES[family]
-        if transposed:
-            base = base.T
-        for rp in itertools.permutations(range(4)):
-            for cp in itertools.permutations(range(4)):
-                w = base[np.ix_(rp, cp)]
-                key = w.tobytes()
-                if key not in seen:
-                    seen.add(key)
-                    w = w.copy()
-                    w.setflags(write=False)
-                    out.append(Witness(matrix=w, family=family,
-                                       row_perm=rp, col_perm=cp,
-                                       transposed=transposed))
+        for w, rp, cp in _orbit(base.T if transposed else base):
+            out.append(Witness(matrix=w, family=family, row_perm=rp,
+                               col_perm=cp, transposed=transposed))
     return tuple(out)
 
 

@@ -49,8 +49,9 @@ def test_coords_round_trip_and_rejection():
         lam = rng.dirichlet(np.ones(4))
         back = coords_to_weights(weights_to_coords(lam))
         assert np.abs(back - lam).max() < 1e-9
-    with pytest.raises(OutOfTetrahedronError):
-        coords_to_weights(np.array([1.0, 1.0, -1.0]))
+    for bad in ([1.0, 1.0, -1.0], [np.nan, 0.0, 0.0], [0.0, 0.0]):
+        with pytest.raises(OutOfTetrahedronError):
+            coords_to_weights(np.array(bad))
 
 
 def test_validate_weights():

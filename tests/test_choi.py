@@ -63,6 +63,19 @@ def test_vertex_structure_rejects_non_vertices():
         kraus_for_vertex(np.full((4, 4), 1 / 16))
 
 
+@pytest.mark.parametrize("v", [D0, G0, vertex_set()[17], vertex_set()[45]])
+def test_vertex_lookup_slack_is_absolute_tie(v):
+    # entries are matched to 0 or 1/4 within TOL.tie, with no relative slack
+    i, j = np.argwhere(v == 0.25)[-1]
+    near = v.copy()
+    near[i, j] += 1e-13
+    assert np.abs(cj_rmatrix(kraus_for_vertex(near)) - near).max() < 1e-10
+    far = v.copy()
+    far[i, j] += 1e-9
+    with pytest.raises(NotAVertexError):
+        kraus_for_vertex(far)
+
+
 def test_channel_from_cj_matches_kraus_action():
     rng = np.random.default_rng(41)
     m = kraus_for_vertex(G0)

@@ -7,7 +7,8 @@ import slocc.convert
 import slocc.separability
 from slocc.bell import InvalidWeightsError
 from slocc.choi import map_action_bd
-from slocc.convert import (NotEntangledError, NotOrderedError, can_convert_bd,
+from slocc.convert import (NotConvertibleError, NotEntangledError,
+                           NotOrderedError, can_convert_bd,
                            facet_inequalities, lp_oracle_membership,
                            monotones, plambda_vertices, ratio_geq,
                            synthesize_map)
@@ -74,6 +75,16 @@ def test_convert_e2_violation():
     assert m_src[0] == m_dst[0] and m_dst[1] > m_src[1]
     d = can_convert_bd(src, dst)
     assert not d.convertible and d.violated_monotone == "E2"
+
+
+@pytest.mark.parametrize("name, src, dst", [
+    ("E1", LAM_P, LAM),
+    ("E2", [0.6, 0.15, 0.15, 0.1], [0.6, 0.2, 0.1, 0.1]),
+    ("E3", [0.6, 0.2, 0.1, 0.1], [0.58, 0.22, 0.15, 0.05])])
+def test_synthesize_map_refuses_non_convertible_pair(name, src, dst):
+    assert can_convert_bd(src, dst).violated_monotone == name
+    with pytest.raises(NotConvertibleError):
+        synthesize_map(src, dst)
 
 
 def test_plambda_vertices_counts():
@@ -198,6 +209,36 @@ def test_yes_on_edges_of_a_thin_polytope(k):
             r = can_convert_bd(lam, lam_p).rmatrix
             image, _ = map_action_bd(r, lam)
             assert np.abs(image - lam_p).max() <= TOL.equality
+
+
+def test_yes_on_faces_of_thin_polytopes():
+    # lam_1 - 1/2 and lam_2 - lam_3 both tiny, targets on faces of P_lam:
+    # barycentric weights scale rounding by the inverse width of P_lam, so
+    # these targets sit on a facet only to within rounding
+    rng = np.random.default_rng(57)
+    maps = []
+    while len(maps) < 1000:
+        a = 10.0 ** rng.uniform(-12, -4)
+        d = 10.0 ** rng.uniform(-13, -5)
+        l4 = rng.uniform() * (0.5 - a) / 3
+        rest = 0.5 - a - l4
+        lam = np.array([0.5 + a, (rest + d) / 2, (rest - d) / 2, l4])
+        if lam[0] <= 0.5 + 2e-12:  # no target can keep lam'_1 above that
+            continue
+        verts = plambda_vertices(lam)
+        k = min(int(rng.integers(2, 4)), len(verts))
+        p = rng.dirichlet(np.ones(k)) @ verts[rng.choice(len(verts), k,
+                                                         replace=False)]
+        lam_p = np.concatenate(([p[0]], np.sort(p[1:])[::-1]))
+        if lam_p[0] <= 0.5 + 2e-12 or \
+                not can_convert_bd(lam, lam_p, with_map=False).convertible:
+            continue
+        r = can_convert_bd(lam, lam_p).rmatrix
+        image, _ = map_action_bd(r, lam)
+        assert np.abs(image - lam_p).max() <= TOL.equality
+        maps.append(r)
+    for r in maps[:50]:
+        assert isinstance(is_separable(r / r.sum()), ConvexDecomposition)
 
 
 @pytest.mark.parametrize("bad", [

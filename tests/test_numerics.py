@@ -125,16 +125,19 @@ def test_convex_membership_hull_with_tiny_coordinates():
 
 def test_small_float_literals_live_in_numerics():
     # every threshold is a Tolerances field; the one exception is the floor
-    # of the selfcheck sampler, which draws lambda_1 from (1/2 + 1e-6, 1)
+    # of the selfcheck sampler, which draws lambda_1 from (1/2 + 1e-6, 1).
+    # isclose and allclose are refused everywhere: their default rtol is a
+    # threshold of its own
     source, first = inspect.getsourcelines(_random_ordered_entangled)
     sampler = range(first, first + len(source))
     found = []
     for path in sorted(Path(slocc.__file__).parent.glob("*.py")):
-        if path.name == "numerics.py":
-            continue
         readline = io.StringIO(path.read_text()).readline
         for tok in tokenize.generate_tokens(readline):
-            if tok.type != tokenize.NUMBER:
+            if tok.type == tokenize.NAME \
+                    and tok.string in ("isclose", "allclose"):
+                found.append(f"{path.name}:{tok.start[0]}: {tok.string}")
+            if tok.type != tokenize.NUMBER or path.name == "numerics.py":
                 continue
             value = ast.literal_eval(tok.string)
             if not isinstance(value, float) or not 0 < abs(value) <= 1e-5:
