@@ -360,18 +360,27 @@ def _selfcheck_items(seed):
         return True, "50 synthesized maps separable"
 
     def witness_scan_vs_lp():
-        # is_separable decides a NO by the witness scan alone; the
-        # 60-vertex LP is the independent check
+        # is_separable decides a NO by the witness scan and builds a YES
+        # decomposition by the facet walk, neither with an LP; the 60-vertex
+        # LP is the independent check
         local = np.random.default_rng(int(seeds[7]))
         verts = np.stack([v.ravel() for v in vertex_set()])
         separable = 0
+        worst, support = 0.0, 0
         for _ in range(100):
             r = local.dirichlet(np.full(16, 1.4)).reshape(4, 4)
-            scan = isinstance(is_separable(r), ConvexDecomposition)
+            cert = is_separable(r)
+            scan = isinstance(cert, ConvexDecomposition)
             if scan != isinstance(convex_membership(verts, r.ravel()), Inside):
                 return False, f"disagreement at r = {_rmatrix_json(r)}"
-            separable += scan
-        return True, f"100 r-matrices agree ({separable} separable)"
+            if scan:
+                separable += 1
+                worst = max(worst, float(
+                    np.abs(cert.weights @ verts - r.ravel()).max()))
+                support = max(support, len(cert.support))
+        return True, (f"100 r-matrices agree ({separable} separable; walk "
+                      f"rebuilds within {worst:.3e} on <= {support} "
+                      "vertices)")
 
     return [("witness see-saw", seesaw_suite),
             ("W2 extension certificate", w2_certificate),

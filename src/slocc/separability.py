@@ -4,10 +4,13 @@ Separability across the A|B cut is a convex polytope: the hull of the 60
 local-unitary images of the two seed states D0 (Bell-correlated dephasing)
 and G0 (a 2x2 block of weight 1/4).  Its nontrivial facets fall into five
 witness families W0..W4; W0 is entrywise positivity and W1 is the PPT
-condition.  The witnesses cut out the polytope, so a negative witness value
-certifies entanglement by itself; only a separable state needs the LP, for
-its decomposition over the vertices.  The module also provides a see-saw
-lower-bound check on each assembled witness and the explicit
+condition.  The 1280 witnesses of witness_orbit() cut out the polytope and
+each is a facet, so they both decide and decompose: a negative witness value
+certifies entanglement by itself, and a separable state is decomposed over
+the vertices by a Caratheodory walk across the facets.  Neither answer
+solves an LP; numerics.convex_membership stays as the independent oracle
+that the tests and selfcheck compare against.  The module also provides a
+see-saw lower-bound check on each assembled witness and the explicit
 symmetric-extension certificate that proves the W2 family.
 """
 
@@ -19,8 +22,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numerics import (TOL, NumericsError, Inside, InvalidStateError,
-                       convex_membership, is_hermitian, NonHermitianError)
+from .numerics import (TOL, NumericsError, InvalidStateError, is_hermitian,
+                       NonHermitianError)
 from .symmetric import QubitOrdering, assemble
 
 __all__ = [
@@ -32,7 +35,7 @@ __all__ = [
 
 
 class InternalInconsistencyError(NumericsError):
-    """The LP put outside an r-matrix that no witness rejects: a bug."""
+    """The facet walk fails on an r-matrix that no witness rejects: a bug."""
 
 
 class CertificateMismatchError(NumericsError):
@@ -81,14 +84,30 @@ class Witness:
     transposed: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConvexDecomposition:
-    """Separability certificate: r = sum weights[i] * vertex_set()[i]."""
+    """Separability certificate: r = sum weights[i] * vertex_set()[i].
 
-    weights: np.ndarray
+    At most 16 vertices carry weight (Caratheodory: the polytope is
+    15-dimensional), so only they are kept, as immutable bytes: `support`
+    holds their indices into vertex_set() (uint8) and `coefficients` their
+    weights (float64), in the same order.
+    """
+
+    support: bytes
+    coefficients: bytes
+
+    @property
+    def weights(self):
+        """The weight of every vertex of vertex_set(), zero off the
+        support."""
+        out = np.zeros(len(vertex_set()))
+        out[np.frombuffer(self.support, dtype=np.uint8)] = \
+            np.frombuffer(self.coefficients)
+        return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ViolatedWitness:
     """Entanglement certificate: <witness, r> = value < 0."""
 
@@ -136,8 +155,9 @@ def _vertex_origin(v):
 
 @lru_cache(maxsize=1)
 def _vertex_array():
-    """vertex_set() stacked into one read-only (60, 4, 4) array."""
-    out = np.stack(vertex_set())
+    """vertex_set() flattened into the rows of one read-only (60, 16)
+    array."""
+    out = np.stack([v.ravel() for v in vertex_set()])
     out.setflags(write=False)
     return out
 
@@ -150,7 +170,10 @@ def witness_orbit():
     The vertex set is closed under transposition, so a transposed witness is
     as valid as its original; W0 and W1 need none (their orbits already are).
     Scan order is cheapest-first: W0 (positivity), W1 (PPT), then W2..W4,
-    then the transposed W2..W4.
+    then the transposed W2..W4.  Every witness is a facet: its zero set on
+    the vertices has affine rank 15.  The W0 rows never report a violation
+    (validate_rmatrix rejects a negative entry first), but their facets
+    r_ij = 0 are ones the facet walk of is_separable needs to reach a vertex.
     """
     out = []
     for family, transposed in ([(f, False) for f in CANONICAL_WITNESSES]
@@ -191,14 +214,79 @@ def validate_rmatrix(r):
     return r
 
 
+@lru_cache(maxsize=1)
+def _walk_tables():
+    """Read-only tables of the facet walk: WV[k, j] = <W_j, v_k> for vertex
+    v_k of vertex_set() and witness W_j of witness_orbit() (an exact
+    multiple of 1/4), and on_facet[j, k] = (WV[k, j] == 0), the vertices
+    each facet passes through."""
+    # einsum, not a BLAS product: threaded OpenBLAS spends about 15 ms on
+    # this small one (2 vCPU), einsum 0.5 ms
+    WV = np.einsum("kx,jx->kj", _vertex_array(), _witness_stack())
+    tables = (WV, np.ascontiguousarray(WV.T == 0))
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def _facet_walk(r, values):
+    """Convex weights over vertex_set() that rebuild r, by a constructive
+    Caratheodory walk across the facets, from r's witness values.
+
+    The walk tracks the residual q (r minus the weight given out), its
+    witness values u, and the face: the vertices on every facet made tight
+    so far.  Each step peels off the face's vertex v_k farthest from q (the
+    least aligned one, as every vertex has norm 1/2) as far as the
+    witnesses allow: t = min u_j / WV[k, j] over the facets j off v_k.
+    Facet j turns tight and the face keeps only its vertices, so u_j is
+    never read again.  Each step leaves a proper face, so within 15 steps
+    (the polytope's dimension) one vertex is left, and it gets the rest.
+    WV's nonzero entries are powers of two, so each step is exact and u
+    stays >= 0, short of subnormal rounding.
+    """
+    WV, on_facet = _walk_tables()
+    V = _vertex_array()
+    q = r.flatten()
+    # values down to -TOL.witness are accepted: start them on their facet
+    u = np.maximum(values, 0.0)
+    face = np.ones(len(V), dtype=bool)
+    weights = np.zeros(len(V))
+    for _ in range(15):
+        if np.count_nonzero(face) <= 1:
+            break
+        aligned = V @ q
+        aligned[~face] = np.inf
+        k = int(np.argmin(aligned))
+        room = np.divide(u, WV[k], out=np.full_like(u, np.inf),
+                         where=WV[k] > 0)
+        j = int(np.argmin(room))
+        weights[k] = t = room[j]
+        q -= t * V[k]
+        u -= t * WV[k]
+        np.maximum(u, 0.0, out=u)  # a subnormal remainder can round below 0
+        face &= on_facet[j]
+    last = np.flatnonzero(face)
+    if len(last) != 1:
+        raise InternalInconsistencyError(
+            f"facet walk ends on {len(last)} vertices, not one")
+    # rounding can leave a zero mass a few ulps below 0
+    weights[last[0]] = max(q.sum(), 0.0)
+    return weights
+
+
 def is_separable(r):
     """Certified separability of a symmetric state across the A|B cut.
 
     The witness orbit cuts out the separable polytope, so the scan decides.
     A value below -TOL.witness returns the first violated witness in scan
-    order as a ViolatedWitness, with no LP.  Otherwise the 60-vertex
-    membership LP returns the ConvexDecomposition; if it finds r outside, the
-    witness set is incomplete and InternalInconsistencyError is raised.
+    order as a ViolatedWitness.  Otherwise the facet walk (_facet_walk)
+    decomposes r over the 60 vertices and the ConvexDecomposition is
+    returned once its weights rebuild r within TOL.solver.  Neither answer
+    solves an LP or imports scipy; numerics.convex_membership is the
+    independent oracle the tests and selfcheck check both answers against.
+    InternalInconsistencyError is raised, as a bug, if the walk's face
+    empties, if the walk ends without reaching a single vertex, or if the
+    rebuild misses r by more than TOL.solver.
     """
     r = validate_rmatrix(r)
     vals = min_witness_values(r)
@@ -207,12 +295,14 @@ def is_separable(r):
     if vals[first] < -TOL.witness:
         return ViolatedWitness(witness=witness_orbit()[first],
                                value=float(vals[first]))
-    membership = convex_membership(_vertex_array().reshape(-1, 16), r.ravel())
-    if isinstance(membership, Inside):
-        return ConvexDecomposition(weights=membership.coefficients)
-    raise InternalInconsistencyError(
-        "LP puts r outside the polytope but no witness is violated "
-        f"(min value {vals.min():.3e})")
+    weights = _facet_walk(r, vals)
+    miss = float(np.abs(weights @ _vertex_array() - r.ravel()).max())
+    if miss > TOL.solver:
+        raise InternalInconsistencyError(
+            f"facet walk rebuilds r within {miss:.3e}, not {TOL.solver:g}")
+    support = np.flatnonzero(weights)
+    return ConvexDecomposition(support=support.astype(np.uint8).tobytes(),
+                               coefficients=weights[support].tobytes())
 
 
 def seesaw_min_product(Z, restarts=200, rng=None):

@@ -9,7 +9,7 @@ import pytest
 import slocc
 from slocc.choi import rho_nd
 from slocc.cli import _selfcheck_items, main
-from slocc.separability import CANONICAL_WITNESSES, vertex_set
+from slocc.separability import CANONICAL_WITNESSES, D0, vertex_set
 
 
 def _write(tmp_path, name, obj):
@@ -133,22 +133,26 @@ def test_separable_transposed_witness(tmp_path, capsys):
     assert data["value"] < 0
 
 
+def _run_without_scipy(code):
+    """Run `code` in a fresh interpreter, then check it left scipy unloaded."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(slocc.__file__)))
+    subprocess.run([sys.executable, "-c",
+                    code + "assert 'scipy' not in sys.modules\n"],
+                   env=env, check=True, capture_output=True)
+
+
 def test_no_scipy_without_an_lp(worked_pair):
     # monotones and convert, NO or YES with its map, solve no LP, so they
     # never load scipy
     src, dst = worked_pair
-    code = ("import sys\n"
-            "import slocc\n"
-            "assert 'scipy' not in sys.modules\n"
-            "from slocc.cli import main\n"
-            f"assert main(['monotones', {src!r}]) == 0\n"
-            f"assert main(['convert', {dst!r}, {src!r}]) == 1\n"
-            f"assert main(['convert', {src!r}, {dst!r}]) == 0\n"
-            "assert 'scipy' not in sys.modules\n")
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(
-        os.path.dirname(slocc.__file__)))
-    subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                   capture_output=True)
+    _run_without_scipy("import sys\n"
+                       "import slocc\n"
+                       "assert 'scipy' not in sys.modules\n"
+                       "from slocc.cli import main\n"
+                       f"assert main(['monotones', {src!r}]) == 0\n"
+                       f"assert main(['convert', {dst!r}, {src!r}]) == 1\n"
+                       f"assert main(['convert', {src!r}, {dst!r}]) == 0\n")
 
 
 def test_no_scipy_for_an_entangled_rmatrix(tmp_path):
@@ -156,19 +160,28 @@ def test_no_scipy_for_an_entangled_rmatrix(tmp_path):
     r41 = np.zeros((4, 4))
     r41[3, 0] = 1.0
     f = _write(tmp_path, "r41.json", {"kind": "rmatrix", "r": r41.tolist()})
-    code = ("import sys\n"
-            "from slocc.cli import main\n"
-            "from slocc.separability import D0, ViolatedWitness, "
-            "is_separable\n"
-            f"assert main(['separable', {f!r}]) == 1\n"
-            "r = 0.3 * D0\n"
-            "r[3, 0] += 0.7\n"
-            "assert isinstance(is_separable(r), ViolatedWitness)\n"
-            "assert 'scipy' not in sys.modules\n")
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(
-        os.path.dirname(slocc.__file__)))
-    subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                   capture_output=True)
+    _run_without_scipy("import sys\n"
+                       "from slocc.cli import main\n"
+                       "from slocc.separability import D0, ViolatedWitness, "
+                       "is_separable\n"
+                       f"assert main(['separable', {f!r}]) == 1\n"
+                       "r = 0.3 * D0\n"
+                       "r[3, 0] += 0.7\n"
+                       "assert isinstance(is_separable(r), ViolatedWitness)\n")
+
+
+def test_no_scipy_for_a_separable_rmatrix(tmp_path):
+    # the facet walk decomposes a separable r-matrix without an LP, so no
+    # answer of `separable` loads scipy
+    f = _write(tmp_path, "d0.json", {"kind": "rmatrix", "r": D0.tolist()})
+    _run_without_scipy("import sys\n"
+                       "from slocc.cli import main\n"
+                       "from slocc.separability import (ConvexDecomposition, "
+                       "D0, G0, is_separable)\n"
+                       f"assert main(['separable', {f!r}]) == 0\n"
+                       "r = 0.3 * D0 + 0.5 * G0 + 0.2 * G0[::-1].T\n"
+                       "assert isinstance(is_separable(r), "
+                       "ConvexDecomposition)\n")
 
 
 def test_selfcheck_witness_scan_vs_lp():

@@ -4,7 +4,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import slocc.convert
-import slocc.separability
 from slocc.bell import InvalidWeightsError
 from slocc.choi import map_action_bd
 from slocc.convert import (NotConvertibleError, NotEntangledError,
@@ -161,7 +160,7 @@ def test_yes_solves_no_lp(monkeypatch):
     for module, name in ((slocc.numerics, "convex_membership"),
                          (slocc.numerics, "_hull_coefficients"),
                          (slocc.convert, "_hull_coefficients"),
-                         (slocc.separability, "convex_membership")):
+                         (slocc.numerics, "_feasibility_lp")):
         monkeypatch.setattr(module, name, counted(getattr(module, name)))
     d = can_convert_bd(LAM, np.array([0.6, 0.25, 0.1, 0.05]))
     assert d.convertible and d.rmatrix is not None

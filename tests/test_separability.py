@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import slocc.numerics
 import slocc.separability
-from slocc.numerics import Outside, convex_membership, partial_transpose
+from slocc.numerics import (TOL, Inside, Outside, convex_membership,
+                            partial_transpose)
 from slocc.separability import (CANONICAL_WITNESSES, CertificateMismatchError,
                                 ConvexDecomposition, D0, G0,
                                 InvalidStateError, ViolatedWitness,
@@ -16,6 +20,20 @@ from slocc.symmetric import QubitOrdering, assemble
 
 # W2..W4 count both the canonical witness's orbit and its transpose's
 ORBIT_SIZES = {"W0": 16, "W1": 16, "W2": 96, "W3": 576, "W4": 576}
+VERTS = np.stack([v.ravel() for v in vertex_set()])
+
+
+def _checked_decomposition(r, on_or_inside=True):
+    """is_separable's ConvexDecomposition of r, with nonnegative weights on
+    at most 16 vertices (Caratheodory in 15 dimensions) that rebuild r
+    within TOL.equality, or TOL.solver for r just outside the polytope."""
+    cert = is_separable(r)
+    assert isinstance(cert, ConvexDecomposition)
+    w = cert.weights
+    assert w.min() >= 0 and len(cert.support) == np.count_nonzero(w) <= 16
+    miss = np.abs(w @ VERTS - np.ravel(r)).max()
+    assert miss <= (TOL.equality if on_or_inside else TOL.solver)
+    return cert
 
 
 def test_vertex_count():
@@ -174,27 +192,29 @@ def test_extension_certificate_negative_control(monkeypatch):
 
 
 def test_entangled_solves_no_lp(monkeypatch):
+    # every LP of the package is solved by numerics._feasibility_lp, so
+    # counting its calls counts convex_membership calls from anywhere
     calls = []
-    original = slocc.separability.convex_membership
+    original = slocc.numerics._feasibility_lp
 
     def counted(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(slocc.separability, "convex_membership", counted)
+    monkeypatch.setattr(slocc.numerics, "_feasibility_lp", counted)
     r41 = np.zeros((4, 4))
     r41[3, 0] = 1.0
     assert isinstance(is_separable(r41), ViolatedWitness)
     assert calls == []
     assert isinstance(is_separable(D0), ConvexDecomposition)
-    assert len(calls) == 1
+    assert calls == []
 
 
 @pytest.mark.parametrize("symmetrise", [False, True])
 def test_witness_scan_agrees_with_lp(symmetrise):
-    # the LP is the independent oracle for the scan's NO answers
+    # the LP is the independent oracle for both answers: the scan's NO and
+    # the facet walk's decomposition
     rng = np.random.default_rng(34 + symmetrise)
-    verts = np.stack([v.ravel() for v in vertex_set()])
     answers = set()
     for _ in range(300):
         d = rng.dirichlet(np.full(16, 1.4)).reshape(4, 4)
@@ -202,10 +222,73 @@ def test_witness_scan_agrees_with_lp(symmetrise):
         cert = is_separable(r)
         answers.add(type(cert))
         if isinstance(cert, ViolatedWitness):
-            assert isinstance(convex_membership(verts, r.ravel()), Outside)
+            assert isinstance(convex_membership(VERTS, r.ravel()), Outside)
         else:
-            assert np.abs(cert.weights @ verts - r.ravel()).max() < 1e-8
+            _checked_decomposition(r)
+            assert isinstance(convex_membership(VERTS, r.ravel()), Inside)
     assert answers == {ViolatedWitness, ConvexDecomposition}
+
+
+@pytest.mark.parametrize("family,transposed", [
+    ("W1", False), ("W2", False), ("W3", False), ("W4", False),
+    ("W2", True), ("W3", True), ("W4", True)])
+def test_facet_walk_on_and_just_outside_a_facet(family, transposed):
+    # mixtures of 1 to all of the facet's vertices, on the facet and moved
+    # 1e-13, 3e-11 and 9e-11 across it, all within the TOL.witness band the
+    # scan accepts.  The LP oracle referees the points on the facet and
+    # 1e-13 off it; farther out it may answer Outside or find no separating
+    # functional, as the points are outside by more than its own tolerance.
+    rng = np.random.default_rng(37)
+    W = CANONICAL_WITNESSES[family]
+    W = W.T if transposed else W
+    on = VERTS[VERTS @ W.ravel() == 0]
+    out = np.zeros(16)
+    out[np.argmin(W)] = 1.0  # W = -1 there
+    for n in sorted({*range(1, len(on) + 1, 3), len(on)}):
+        p = rng.dirichlet(np.ones(n)) @ on[rng.choice(len(on), n,
+                                                      replace=False)]
+        perm = np.ix_(rng.permutation(4), rng.permutation(4))
+        for gap in (0.0, 1e-13, 3e-11, 9e-11):
+            r = ((1 - gap) * p + gap * out).reshape(4, 4)[perm]
+            _checked_decomposition(r, on_or_inside=gap == 0.0)
+            if gap <= 1e-13:
+                assert isinstance(convex_membership(VERTS, r.ravel()),
+                                  Inside)
+
+
+def test_facet_walk_on_sparse_vertex_mixtures():
+    # a few vertices carry almost all of the weight and the rest as little
+    # as 1e-14 or less: the walk must not lose them off the face
+    rng = np.random.default_rng(38)
+    for _ in range(100):
+        n = rng.integers(1, 25)
+        idx = rng.choice(len(VERTS), n, replace=False)
+        r = (rng.dirichlet(np.full(n, 0.05)) @ VERTS[idx]).reshape(4, 4)
+        _checked_decomposition(r)
+        assert isinstance(convex_membership(VERTS, r.ravel()), Inside)
+
+
+@st.composite
+def _vertex_mixtures(draw):
+    """A convex combination of 1 to 16 distinct vertices, weights in [0, 1]
+    before normalising (so also zero and subnormal)."""
+    idx = draw(st.lists(st.integers(0, len(VERTS) - 1), min_size=1,
+                        max_size=16, unique=True))
+    w = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=len(idx),
+                               max_size=len(idx))))
+    assume(w.sum() > 0)
+    return (w / w.sum() @ VERTS[idx]).reshape(4, 4)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_vertex_mixtures(), st.permutations(range(4)),
+       st.permutations(range(4)))
+def test_decomposition_survives_the_polytope_symmetries(r, rp, cp):
+    # the polytope is invariant under S4 x S4 row/column permutations and
+    # under transposition, so a separable r stays separable under them
+    _checked_decomposition(r)
+    _checked_decomposition(r[np.ix_(rp, cp)])
+    _checked_decomposition(r.T)
 
 
 @pytest.mark.parametrize("family,transposed", [
