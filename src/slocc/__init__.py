@@ -19,8 +19,7 @@ from .convert import (Decision, MonotoneTriple, can_convert_bd,
 from .normal_form import (FilterResult, NormalFormResult, bd_equivalent,
                           can_convert_two_qubit, classify, concurrence,
                           filter_iteration, is_ppt)
-from .numerics import (Inside, Outside, Tolerances, TOL, convex_membership,
-                       hermitian_eigensystem, is_hermitian, kron,
+from .numerics import (Tolerances, TOL, convex_membership, is_hermitian, kron,
                        partial_trace, partial_transpose)
 from .separability import (CANONICAL_WITNESSES, ConvexDecomposition, D0, G0,
                            ViolatedWitness, Witness, is_separable,
@@ -28,9 +27,8 @@ from .separability import (CANONICAL_WITNESSES, ConvexDecomposition, D0, G0,
                            verify_extension_certificate_W2, vertex_set,
                            witness_orbit, witness_value)
 from .symmetric import (PAPER_TO_CUT, QubitOrdering, assemble,
-                        bell_permutation_factors, bell_permutation_unitary,
-                        permute, project_to_commutant, reorder, swap_factors,
-                        swap_unitary)
+                        bell_permutation_factors, project_to_commutant,
+                        reorder, swap_factors)
 
 __version__ = "0.1.0"
 
@@ -48,14 +46,12 @@ __all__ = [
     "FilterResult", "NormalFormResult", "bd_equivalent",
     "can_convert_two_qubit", "classify", "concurrence", "filter_iteration",
     "is_ppt",
-    "Inside", "Outside", "Tolerances", "TOL", "convex_membership",
-    "hermitian_eigensystem", "is_hermitian", "kron", "partial_trace",
-    "partial_transpose",
+    "Tolerances", "TOL", "convex_membership", "is_hermitian", "kron",
+    "partial_trace", "partial_transpose",
     "CANONICAL_WITNESSES", "ConvexDecomposition", "D0", "G0",
     "ViolatedWitness", "Witness", "is_separable", "seesaw_min_product",
     "validate_rmatrix", "verify_extension_certificate_W2", "vertex_set",
     "witness_orbit", "witness_value",
     "PAPER_TO_CUT", "QubitOrdering", "assemble", "bell_permutation_factors",
-    "bell_permutation_unitary", "permute", "project_to_commutant", "reorder",
-    "swap_factors", "swap_unitary",
+    "project_to_commutant", "reorder", "swap_factors",
 ]

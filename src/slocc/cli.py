@@ -30,7 +30,7 @@ from .choi import apply_map_density, map_action_bd, quasi_reverse_map, rho_nd, \
     rho_nd_prime
 from .convert import can_convert_bd, lp_oracle_membership, monotones
 from .normal_form import classify
-from .numerics import TOL, Inside, NumericsError, convex_membership
+from .numerics import TOL, NumericsError, convex_membership
 from .separability import (CANONICAL_WITNESSES, ConvexDecomposition,
                            ViolatedWitness, is_separable,
                            seesaw_min_product, validate_rmatrix, vertex_set,
@@ -360,9 +360,7 @@ def _selfcheck_items(seed):
         return True, "50 synthesized maps separable"
 
     def witness_scan_vs_lp():
-        # is_separable decides a NO by the witness scan and builds a YES
-        # decomposition by the facet walk, neither with an LP; the 60-vertex
-        # LP is the independent check
+        # the 60-vertex LP is the independent check of both answers
         local = np.random.default_rng(int(seeds[7]))
         verts = np.stack([v.ravel() for v in vertex_set()])
         separable = 0
@@ -371,7 +369,7 @@ def _selfcheck_items(seed):
             r = local.dirichlet(np.full(16, 1.4)).reshape(4, 4)
             cert = is_separable(r)
             scan = isinstance(cert, ConvexDecomposition)
-            if scan != isinstance(convex_membership(verts, r.ravel()), Inside):
+            if scan != (convex_membership(verts, r.ravel()) is not None):
                 return False, f"disagreement at r = {_rmatrix_json(r)}"
             if scan:
                 separable += 1

@@ -15,15 +15,8 @@ are kept as (numerator, denominator) pairs and compared by
 cross-multiplication, so vanishing denominators (pure Bell states) need no
 special casing.
 
-A YES comes with an r-matrix.  P_lam is three-dimensional, so by
-Caratheodory's theorem some four of its nine labelled vertices carry lam';
-their convex weights come from one batched solve of all 126 four-vertex
-barycentric systems, with no LP, in coordinates where the tail permutations
-are the layer t = 1 and the half-half mixtures the layer t = 0.  Each vertex
-is the image of a generating map, a row permutation of D0 or of G0, that is
-itself a vertex of the separable polytope (`separability.vertex_set()`), so
-the map's separability certificate is built along with it.  The 9-vertex LP
-stays as the independent oracle (`lp_oracle_membership`).
+A YES comes with a separable r-matrix that realizes it (`synthesize_map`);
+`lp_oracle_membership` is the independent oracle.
 """
 
 from __future__ import annotations
@@ -36,7 +29,7 @@ import numpy as np
 
 from .bell import (_exceeds_half, is_ordered, validate_weights,
                    weights_to_coords)
-from .numerics import TOL, NumericsError, _hull_coefficients
+from .numerics import TOL, NumericsError, convex_membership
 from .separability import D0, G0
 
 
@@ -198,10 +191,10 @@ def plambda_vertices(lam):
 
 
 def lp_oracle_membership(lam, lam_prime):
-    """Independent decision: is lam' in the reachable polytope of lam?  One
-    feasibility LP; a NO solves no second LP for a separating functional."""
+    """Independent decision: is lam' in the reachable polytope of lam?  The
+    convex_membership LP over plambda_vertices(lam)."""
     lam_prime = validate_weights(lam_prime)
-    return _hull_coefficients(plambda_vertices(lam), lam_prime) is not None
+    return convex_membership(plambda_vertices(lam), lam_prime) is not None
 
 
 @dataclass(frozen=True)

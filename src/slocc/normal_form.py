@@ -103,10 +103,9 @@ def filter_iteration(rho, max_iter=500):
         ra = _marginal(rho, 0)
         rb = _marginal(rho, 1)
         dev = max(np.abs(ra - half).max(), np.abs(rb - half).max())
-        if dev < TOL.equality:
-            return FilterResult(rho, True, sweep, float(dev))
-        if sweep == max_iter:
-            break
+        converged = bool(dev < TOL.equality)
+        if converged or sweep == max_iter:
+            return FilterResult(rho, converged, sweep, float(dev))
         if min(np.linalg.eigvalsh(ra).min(), np.linalg.eigvalsh(rb).min()) \
                 < TOL.blowup:
             return FilterResult(rho, False, sweep, float(dev))
@@ -121,10 +120,6 @@ def filter_iteration(rho, max_iter=500):
         K = np.kron(np.eye(2), G)
         rho = K @ rho @ K.conj().T
         rho /= np.trace(rho).real
-    ra = _marginal(rho, 0)
-    rb = _marginal(rho, 1)
-    dev = max(np.abs(ra - half).max(), np.abs(rb - half).max())
-    return FilterResult(rho, False, max_iter, float(dev))
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,4 +1,6 @@
-"""Dense linear-algebra helpers and a certified convex-membership oracle.
+"""Dense linear-algebra helpers, the tolerance record, and the one LP of the
+package: the convex-membership oracle that the tests and selfcheck compare
+the decisions against.
 
 Everything here is pure: no global mutable state, safe for concurrent use.
 All matrices are plain ``numpy`` arrays; tolerances are collected in a single
@@ -45,8 +47,9 @@ class Tolerances:
                    weights of a correlation point are the eigenvalues of its
                    state, so it also bounds a weight read off a point
     hermiticity -- max |M - M^dag| entry accepted as Hermitian
-    lp          -- feasibility tolerance handed to the LP solver (the HiGHS
-                   backend rejects values below 1e-10)
+    lp          -- feasibility tolerance handed to the solver of the
+                   convex_membership LP (the HiGHS backend rejects values
+                   below 1e-10)
     lorentz     -- relative slack within which eigenvalues of the Lorentz
                    matrix eta R eta R^T count as one, and above which a
                    cluster's defect marks a Jordan block (rank-deficient class)
@@ -70,9 +73,9 @@ class Tolerances:
     blowup      -- smallest marginal eigenvalue that filter_iteration still
                    inverts; below it the filter blows up (rank-deficient
                    class)
-    solver      -- slack of a re-check on an iterative solver's answer: an LP
-                   decomposition rebuilt from its weights, and the see-saw
-                   minimum of a valid witness over product states
+    solver      -- slack of a re-check on a computed answer: the facet
+                   walk's decomposition rebuilt from its weights, and the
+                   see-saw minimum of a valid witness over product states
     """
 
     equality: float = 1e-10
@@ -102,21 +105,6 @@ def is_hermitian(M, tol=TOL.hermiticity):
     M = np.asarray(M)
     return M.ndim == 2 and M.shape[0] == M.shape[1] and \
         np.abs(M - M.conj().T).max() <= tol
-
-
-def hermitian_eigensystem(M):
-    """Eigenvalues (ascending) and orthonormal eigenvector columns of M.
-
-    Raises NonHermitianError if M is not Hermitian within TOL.hermiticity.
-    """
-    M = np.asarray(M, dtype=complex)
-    if not is_hermitian(M):
-        raise NonHermitianError(
-            "matrix is not Hermitian within %g" % TOL.hermiticity)
-    if M.shape[0] > 64:
-        raise DimensionMismatchError("matrices beyond 64x64 are out of scope")
-    vals, vecs = np.linalg.eigh(M)
-    return vals, vecs
 
 
 def kron(*ops):
@@ -169,28 +157,6 @@ def partial_trace(M, dims, keep):
     return T.reshape(d, d)
 
 
-@dataclass(frozen=True)
-class Inside:
-    """Convex-combination certificate: query = sum coefficients[i]*vertex[i]."""
-
-    coefficients: np.ndarray
-
-
-@dataclass(frozen=True)
-class Outside:
-    """Farkas certificate: an affine functional separating query from the hull.
-
-    `normal` and `offset` satisfy  <normal, v> + offset >= 0  for every vertex
-    and  <normal, query> + offset < 0.
-    """
-
-    normal: np.ndarray
-    offset: float
-
-    def value(self, point):
-        return float(np.dot(self.normal, point) + self.offset)
-
-
 def _highs_shift(V):
     """Translation of each coordinate of V holding an entry HiGHS would drop
     to start at twice the threshold; membership is invariant under it."""
@@ -200,9 +166,10 @@ def _highs_shift(V):
     return np.where(tiny, 2 * _HIGHS_SMALL_ENTRY - V.min(axis=0), 0.0)
 
 
-def _lp_inputs(vertices, query):
-    """`vertices` and `query` as checked float arrays, with the _highs_shift
-    of the vertices' coordinates."""
+def convex_membership(vertices, query):
+    """Convex coefficients expressing `query` over the rows of `vertices`
+    (an ndarray that can be re-checked independently), or None if `query`
+    lies outside their convex hull; one feasibility LP."""
     V = np.asarray(vertices, dtype=float)
     q = np.asarray(query, dtype=float)
     if V.ndim != 2 or V.shape[0] < 1:
@@ -211,60 +178,12 @@ def _lp_inputs(vertices, query):
         raise DimensionMismatchError("vertex/query dimension mismatch")
     if not (np.isfinite(V).all() and np.isfinite(q).all()):
         raise DegenerateInputError("non-finite values in vertices or query")
-    return V, q, _highs_shift(V)
-
-
-def _feasibility_lp(Vs, qs):
-    """Convex coefficients expressing qs over the rows of Vs, or None."""
     # scipy is imported here, so paths that solve no LP never load it.
     from scipy.optimize import linprog
-    n = Vs.shape[0]
-    A_eq = np.vstack([Vs.T, np.ones(n)])
-    b_eq = np.concatenate([qs, [1.0]])
+    shift = _highs_shift(V)
+    n = V.shape[0]
+    A_eq = np.vstack([(V + shift).T, np.ones(n)])
+    b_eq = np.concatenate([q + shift, [1.0]])
     res = linprog(np.zeros(n), A_eq=A_eq, b_eq=b_eq, bounds=[(0, None)] * n,
                   method="highs", options=_LP_OPTIONS)
     return res.x if res.status == 0 else None
-
-
-def _hull_coefficients(vertices, query):
-    """The feasibility LP of convex_membership alone: convex coefficients
-    expressing `query` over the rows of `vertices`, or None."""
-    V, q, shift = _lp_inputs(vertices, query)
-    return _feasibility_lp(V + shift, q + shift)
-
-
-def convex_membership(vertices, query):
-    """Decide whether `query` lies in the convex hull of `vertices`.
-
-    Returns Inside(coefficients) or Outside(normal, offset); either branch
-    carries a certificate that can be re-verified independently.
-    """
-    V, q, shift = _lp_inputs(vertices, query)
-    Vs, qs = V + shift, q + shift
-    coefficients = _feasibility_lp(Vs, qs)
-    if coefficients is not None:
-        return Inside(coefficients=coefficients)
-    from scipy.optimize import linprog
-    n, d = V.shape
-    # Infeasible: find a separating affine functional.  Work in the lifted
-    # space (v, 1); bounding h keeps the LP bounded, h = 0 is feasible so the
-    # optimum is < 0 exactly when the query is outside the hull.
-    sep = linprog(np.concatenate([qs, [1.0]]),
-                  A_ub=-np.hstack([Vs, np.ones((n, 1))]), b_ub=np.zeros(n),
-                  bounds=[(-1, 1)] * (d + 1), method="highs",
-                  options=_LP_OPTIONS)
-    # Undo the translation: <g, v + shift> + g0 = <g, v> + (g0 + <g, shift>).
-    h = sep.x.copy()
-    h[-1] += float(h[:-1] @ shift)
-    Vt = np.hstack([V, np.ones((n, 1))])
-    qt = np.concatenate([q, [1.0]])
-    # Clean up solver slack so the vertex-side inequality holds exactly.
-    slack = float((Vt @ h).min())
-    if slack < 0:
-        h[-1] -= slack
-    qval = float(qt @ h)
-    if qval >= 0:
-        raise DegenerateInputError(
-            "membership LP infeasible but no separating functional found "
-            "(query on the boundary within solver tolerance)")
-    return Outside(normal=h[:-1], offset=float(h[-1]))

@@ -5,13 +5,10 @@ local-unitary images of the two seed states D0 (Bell-correlated dephasing)
 and G0 (a 2x2 block of weight 1/4).  Its nontrivial facets fall into five
 witness families W0..W4; W0 is entrywise positivity and W1 is the PPT
 condition.  The 1280 witnesses of witness_orbit() cut out the polytope and
-each is a facet, so they both decide and decompose: a negative witness value
-certifies entanglement by itself, and a separable state is decomposed over
-the vertices by a Caratheodory walk across the facets.  Neither answer
-solves an LP; numerics.convex_membership stays as the independent oracle
-that the tests and selfcheck compare against.  The module also provides a
-see-saw lower-bound check on each assembled witness and the explicit
-symmetric-extension certificate that proves the W2 family.
+each is a facet, so `is_separable` both decides and decomposes with them.
+The module also provides a see-saw lower-bound check on each assembled
+witness and the explicit symmetric-extension certificate that proves the
+W2 family.
 """
 
 from __future__ import annotations
@@ -282,11 +279,9 @@ def is_separable(r):
     order as a ViolatedWitness.  Otherwise the facet walk (_facet_walk)
     decomposes r over the 60 vertices and the ConvexDecomposition is
     returned once its weights rebuild r within TOL.solver.  Neither answer
-    solves an LP or imports scipy; numerics.convex_membership is the
-    independent oracle the tests and selfcheck check both answers against.
-    InternalInconsistencyError is raised, as a bug, if the walk's face
-    empties, if the walk ends without reaching a single vertex, or if the
-    rebuild misses r by more than TOL.solver.
+    solves an LP.  InternalInconsistencyError is raised, as a bug, if the
+    walk ends on other than one vertex, or if the rebuild misses r by more
+    than TOL.solver.
     """
     r = validate_rmatrix(r)
     vals = min_witness_values(r)

@@ -19,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .bell import BELL_PROJECTORS, PAULI_I, PAULI_X, PAULI_Z
-from .numerics import NonHermitianError, NumericsError, is_hermitian, kron
+from .numerics import NonHermitianError, NumericsError, is_hermitian
 
 
 class QubitOrdering(Enum):
@@ -89,12 +89,6 @@ def project_to_commutant(rho, ordering=QubitOrdering.PAPER):
     return r
 
 
-def permute(r, row_perm, col_perm):
-    """r'[i,j] = r[row_perm[i], col_perm[j]]; the local-unitary action on r."""
-    r = np.asarray(r)
-    return r[np.ix_(list(row_perm), list(col_perm))]
-
-
 # Bell-swap unitaries: product operators (one factor per qubit of a Bell
 # pair) whose conjugation transposes two adjacent Bell projectors while
 # fixing the other two.  Verified numerically in the test suite; note these
@@ -121,12 +115,6 @@ def swap_factors(i, j):
         raise UnsupportedPairError(
             f"no primitive swap for Bell pair {key}; compose adjacent swaps")
     return _SWAP_FACTORS[key]
-
-
-def swap_unitary(i, j):
-    """4x4 product unitary whose conjugation transposes Bell projectors i, j."""
-    vA, vB = swap_factors(i, j)
-    return kron(vA, vB)
 
 
 def _build_permutation_table():
@@ -166,8 +154,3 @@ def bell_permutation_factors(perm):
     if key not in _PERMUTATION_FACTORS:
         raise UnsupportedPairError(f"{perm} is not a 4-permutation")
     return _PERMUTATION_FACTORS[key]
-
-
-def bell_permutation_unitary(perm):
-    uA, uB = bell_permutation_factors(perm)
-    return kron(uA, uB)

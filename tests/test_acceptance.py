@@ -18,7 +18,7 @@ from slocc.convert import (can_convert_bd, facet_inequalities,
                            lp_oracle_membership, monotones, plambda_vertices,
                            ratio_geq)
 from slocc.normal_form import classify, filter_iteration, is_ppt
-from slocc.numerics import Inside, convex_membership, partial_transpose
+from slocc.numerics import convex_membership, partial_transpose
 from slocc.separability import (CANONICAL_WITNESSES, min_witness_values,
                                 seesaw_min_product,
                                 symmetric_subspace_projector,
@@ -125,7 +125,7 @@ def test_criterion_2_polytope_duality():
             found += 1
     disagreements = 0
     for r in states:
-        lp_in = isinstance(convex_membership(verts, r.ravel()), Inside)
+        lp_in = convex_membership(verts, r.ravel()) is not None
         wit_in = bool(min_witness_values(r).min() >= -1e-10)
         if lp_in != wit_in:
             disagreements += 1

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -157,11 +158,10 @@ def test_yes_solves_no_lp(monkeypatch):
             return original(*args, **kwargs)
         return wrapper
 
-    for module, name in ((slocc.numerics, "convex_membership"),
-                         (slocc.numerics, "_hull_coefficients"),
-                         (slocc.convert, "_hull_coefficients"),
-                         (slocc.numerics, "_feasibility_lp")):
-        monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    # convex_membership imports linprog when it is called, so patching the
+    # attribute counts every LP of the package
+    monkeypatch.setattr(scipy.optimize, "linprog",
+                        counted(scipy.optimize.linprog))
     d = can_convert_bd(LAM, np.array([0.6, 0.25, 0.1, 0.05]))
     assert d.convertible and d.rmatrix is not None
     assert len(calls) == 0

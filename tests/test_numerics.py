@@ -10,10 +10,8 @@ import pytest
 import slocc
 from slocc.cli import _random_ordered_entangled
 from slocc.numerics import (DegenerateInputError, DimensionMismatchError,
-                            Inside, NonHermitianError, Outside,
-                            convex_membership, hermitian_eigensystem,
-                            is_hermitian, kron, partial_trace,
-                            partial_transpose)
+                            convex_membership, is_hermitian, kron,
+                            partial_trace, partial_transpose)
 
 
 def test_is_hermitian():
@@ -21,20 +19,6 @@ def test_is_hermitian():
     assert is_hermitian(np.array([[1, 1j], [-1j, 2]]))
     assert not is_hermitian(np.array([[1, 1j], [1j, 2]]))
     assert not is_hermitian(np.ones((2, 3)))
-
-
-def test_hermitian_eigensystem_rejects_non_hermitian():
-    with pytest.raises(NonHermitianError):
-        hermitian_eigensystem(np.array([[0, 1], [0, 0]]))
-
-
-def test_hermitian_eigensystem_reconstructs():
-    rng = np.random.default_rng(7)
-    A = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    H = A + A.conj().T
-    vals, vecs = hermitian_eigensystem(H)
-    assert np.abs(vecs @ np.diag(vals) @ vecs.conj().T - H).max() < 1e-12
-    assert np.all(np.diff(vals) >= 0)
 
 
 def test_kron_chains():
@@ -81,26 +65,20 @@ def test_partial_trace_dimension_check():
 def test_convex_membership_inside_certificate():
     V = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     q = np.array([0.25, 0.25])
-    cert = convex_membership(V, q)
-    assert isinstance(cert, Inside)
-    c = cert.coefficients
+    c = convex_membership(V, q)
+    assert c is not None
     assert c.min() >= -1e-12 and abs(c.sum() - 1) < 1e-9
     assert np.abs(V.T @ c - q).max() < 1e-9
 
 
 def test_convex_membership_outside_certificate():
     V = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    q = np.array([0.8, 0.8])
-    cert = convex_membership(V, q)
-    assert isinstance(cert, Outside)
-    # separating functional: nonnegative on every vertex, negative on q
-    assert min(cert.value(v) for v in V) >= 0
-    assert cert.value(q) < 0
+    assert convex_membership(V, np.array([0.8, 0.8])) is None
 
 
 def test_convex_membership_boundary_point_is_inside():
     V = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    assert isinstance(convex_membership(V, np.array([0.5, 0.5])), Inside)
+    assert convex_membership(V, np.array([0.5, 0.5])) is not None
 
 
 def test_convex_membership_rejects_bad_input():
@@ -113,14 +91,10 @@ def test_convex_membership_rejects_bad_input():
 def test_convex_membership_hull_with_tiny_coordinates():
     # HiGHS drops matrix entries below 1e-9; the hull must not lose them
     V = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 5e-10]])
-    inside = convex_membership(V, np.array([0.2, 2e-10]))
-    assert isinstance(inside, Inside)
-    assert np.abs(V.T @ inside.coefficients - [0.2, 2e-10]).max() < 1e-12
-    q = np.array([0.2, 1e-9])
-    outside = convex_membership(V, q)
-    assert isinstance(outside, Outside)
-    assert min(outside.value(v) for v in V) >= 0
-    assert outside.value(q) < 0
+    c = convex_membership(V, np.array([0.2, 2e-10]))
+    assert c is not None
+    assert np.abs(V.T @ c - [0.2, 2e-10]).max() < 1e-12
+    assert convex_membership(V, np.array([0.2, 1e-9])) is None
 
 
 def test_small_float_literals_live_in_numerics():
@@ -145,4 +119,28 @@ def test_small_float_literals_live_in_numerics():
             if path.name == "cli.py" and tok.start[0] in sampler:
                 continue
             found.append(f"{path.name}:{tok.start[0]}: {tok.string}")
+    assert found == []
+
+
+def test_no_unused_imports_in_src():
+    # no linter runs on the package, so a removal can leave an import
+    # behind; __init__.py imports only to re-export
+    found = []
+    for path in sorted(Path(slocc.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) \
+                    and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        found += [f"{path.name}:{line}: {name}"
+                  for name, line in imported.items() if name not in used]
     assert found == []

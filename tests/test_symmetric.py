@@ -7,9 +7,7 @@ from slocc.bell import BELL_PROJECTORS
 from slocc.numerics import NonHermitianError
 from slocc.symmetric import (PAPER_TO_CUT, QubitOrdering, UnsupportedPairError,
                              assemble, bell_permutation_factors,
-                             bell_permutation_unitary, permute,
-                             project_to_commutant, reorder, swap_factors,
-                             swap_unitary)
+                             project_to_commutant, reorder, swap_factors)
 
 
 def test_reorder_round_trip():
@@ -58,12 +56,6 @@ def test_projection_is_a_twirl():
     assert np.abs(again - r).max() < 1e-12
 
 
-def test_permute_indexing():
-    r = np.arange(16.0).reshape(4, 4)
-    out = permute(r, (1, 0, 2, 3), (0, 1, 3, 2))
-    assert out[0, 0] == r[1, 0] and out[0, 2] == r[1, 3]
-
-
 def _bell_action(U):
     """Permutation realized by conjugation with the 4x4 unitary U."""
     perm = []
@@ -78,7 +70,7 @@ def _bell_action(U):
 
 def test_adjacent_swaps_transpose_projectors():
     for (i, j) in ((0, 1), (1, 2), (2, 3)):
-        U = swap_unitary(i, j)
+        U = np.kron(*swap_factors(i, j))
         assert np.abs(U @ U.conj().T - np.eye(4)).max() < 1e-12
         expected = [0, 1, 2, 3]
         expected[i], expected[j] = expected[j], expected[i]
@@ -88,16 +80,17 @@ def test_adjacent_swaps_transpose_projectors():
 def test_swap_factors_only_adjacent():
     with pytest.raises(UnsupportedPairError):
         swap_factors(0, 2)
-    vA, vB = swap_factors(1, 0)  # order-insensitive
-    assert np.abs(np.kron(vA, vB) - swap_unitary(0, 1)).max() == 0
+    # order-insensitive
+    assert _bell_action(np.kron(*swap_factors(1, 0))) == (1, 0, 2, 3)
 
 
 def test_all_permutations_realized():
+    # every Bell permutation is realized by a product unitary
     for perm in itertools.permutations(range(4)):
-        U = bell_permutation_unitary(perm)
-        assert _bell_action(U) == perm
         uA, uB = bell_permutation_factors(perm)
-        assert np.abs(np.kron(uA, uB) - U).max() == 0
+        for u in (uA, uB):
+            assert np.abs(u @ u.conj().T - np.eye(2)).max() < 1e-12
+        assert _bell_action(np.kron(uA, uB)) == perm
 
 
 def test_bad_permutation_rejected():
