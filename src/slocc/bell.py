@@ -91,7 +91,8 @@ def density_to_weights(rho, offdiag_tol=TOL.equality):
     U = BELL_VECTORS.T  # columns are Bell vectors
     in_bell = U.conj().T @ rho @ U
     off = in_bell - np.diag(np.diag(in_bell))
-    if np.abs(off).max() > offdiag_tol:
+    # negated, so a NaN element fails it
+    if not np.abs(off).max() <= offdiag_tol:
         raise NotBellDiagonalError(
             f"off-diagonal Bell element {np.abs(off).max():.3e}")
     return np.real(np.diag(in_bell))

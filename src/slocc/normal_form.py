@@ -49,9 +49,13 @@ def concurrence(rho):
 
 def _validate_state(rho):
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4) or np.abs(rho - rho.conj().T).max() > TOL.equality:
+    if not np.isfinite(rho).all():
+        raise InvalidStateError("state has a non-finite entry")
+    # negated comparisons, so a NaN fails them
+    if rho.shape != (4, 4) \
+            or not np.abs(rho - rho.conj().T).max() <= TOL.equality:
         raise InvalidStateError("expected a 4x4 Hermitian matrix")
-    if abs(np.trace(rho).real - 1.0) > TOL.equality:
+    if not abs(np.trace(rho).real - 1.0) <= TOL.equality:
         raise InvalidStateError(f"trace {np.trace(rho).real}, expected 1")
     if np.linalg.eigvalsh(rho).min() < TOL.psd_slack:
         raise InvalidStateError("state is not positive semidefinite")

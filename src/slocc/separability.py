@@ -69,7 +69,7 @@ for _w in CANONICAL_WITNESSES.values():
     _w.setflags(write=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Witness:
     """matrix = base[row_perm][:, col_perm], base the canonical family
     witness or, if `transposed`, its transpose."""
@@ -112,32 +112,51 @@ class ViolatedWitness:
     value: float
 
 
-def _orbit(base):
-    """Each distinct base[rp][:, cp], read-only, with the first (rp, cp) in
-    lexicographic order that gives it."""
-    seen = set()
-    for rp, cp in itertools.product(itertools.permutations(range(4)),
-                                    repeat=2):
-        m = base[np.ix_(rp, cp)]
-        key = m.tobytes()
-        if key not in seen:
-            seen.add(key)
-            m.setflags(write=False)
-            yield m, rp, cp
+_PERMS = tuple(itertools.permutations(range(4)))
+_BASES = {"D0": D0, "G0": G0, **CANONICAL_WITNESSES}
+# witness_orbit() scan order, cheapest first
+_WITNESS_BASES = ([(f, False) for f in CANONICAL_WITNESSES]
+                  + [(f, True) for f in ("W2", "W3", "W4")])
+
+
+@lru_cache(maxsize=None)
+def _orbit(name, transposed):
+    """The distinct base[rp][:, cp] over S4 x S4, for base the seed or
+    canonical witness `name` (its transpose if `transposed`): one read-only
+    (n, 4, 4) array and the (rp, cp) of each image.  Built on first use,
+    once per process, from all 576 images at once.
+
+    Order contract: each image appears once, at the first (rp, cp) in
+    lexicographic order that gives it.  Certificate indices into
+    vertex_set() and witness_orbit() follow this order, so it must not
+    change.
+    """
+    base = _BASES[name].T if transposed else _BASES[name]
+    P = np.array(_PERMS)
+    # image k = 24 i + j is base[P[i]][:, P[j]]: lexicographic in (rp, cp)
+    images = base[P[:, None, :, None], P[None, :, None, :]].reshape(-1, 4, 4)
+    first = {}
+    for k, image in enumerate(images):
+        first.setdefault(image.tobytes(), k)
+    keep = list(first.values())
+    images = images[keep]
+    images.setflags(write=False)
+    return images, tuple((_PERMS[k // 24], _PERMS[k % 24]) for k in keep)
 
 
 @lru_cache(maxsize=1)
 def vertex_set():
-    """The 60 polytope vertices: S4 x S4 orbits of D0 (24) and G0 (36)."""
-    return tuple(v for base in (D0, G0) for v, _, _ in _orbit(base))
+    """The 60 polytope vertices: S4 x S4 orbits of D0 (24) and G0 (36), each
+    in _orbit's order (first occurrence in lexicographic (rp, cp) order), D0
+    before G0."""
+    return tuple(_vertex_array().reshape(-1, 4, 4))
 
 
 @lru_cache(maxsize=1)
 def _vertex_origins():
     """{vertex bytes: (seed name, rp, cp)} over vertex_set()."""
-    return {v.tobytes(): (name, rp, cp)
-            for name, base in (("D0", D0), ("G0", G0))
-            for v, rp, cp in _orbit(base)}
+    return {v.tobytes(): (name, rp, cp) for name in ("D0", "G0")
+            for v, (rp, cp) in zip(*_orbit(name, False))}
 
 
 def _vertex_origin(v):
@@ -154,7 +173,8 @@ def _vertex_origin(v):
 def _vertex_array():
     """vertex_set() flattened into the rows of one read-only (60, 16)
     array."""
-    out = np.stack([v.ravel() for v in vertex_set()])
+    out = np.concatenate([_orbit("D0", False)[0], _orbit("G0", False)[0]])
+    out = out.reshape(-1, 16)
     out.setflags(write=False)
     return out
 
@@ -167,25 +187,27 @@ def witness_orbit():
     The vertex set is closed under transposition, so a transposed witness is
     as valid as its original; W0 and W1 need none (their orbits already are).
     Scan order is cheapest-first: W0 (positivity), W1 (PPT), then W2..W4,
-    then the transposed W2..W4.  Every witness is a facet: its zero set on
-    the vertices has affine rank 15.  The W0 rows never report a violation
-    (validate_rmatrix rejects a negative entry first), but their facets
-    r_ij = 0 are ones the facet walk of is_separable needs to reach a vertex.
+    then the transposed W2..W4, each family's orbit in _orbit's order (first
+    occurrence in lexicographic (rp, cp) order).  Every witness is a facet:
+    its zero set on the vertices has affine rank 15.  The W0 rows never
+    report a violation (validate_rmatrix rejects a negative entry first), but
+    their facets r_ij = 0 are ones the facet walk of is_separable needs to
+    reach a vertex.
     """
-    out = []
-    for family, transposed in ([(f, False) for f in CANONICAL_WITNESSES]
-                               + [(f, True) for f in ("W2", "W3", "W4")]):
-        base = CANONICAL_WITNESSES[family]
-        for w, rp, cp in _orbit(base.T if transposed else base):
-            out.append(Witness(matrix=w, family=family, row_perm=rp,
-                               col_perm=cp, transposed=transposed))
-    return tuple(out)
+    return tuple(Witness(matrix=w, family=family, row_perm=rp, col_perm=cp,
+                         transposed=transposed)
+                 for family, transposed in _WITNESS_BASES
+                 for w, (rp, cp) in zip(*_orbit(family, transposed)))
 
 
 @lru_cache(maxsize=1)
 def _witness_stack():
-    orbit = witness_orbit()
-    return np.stack([w.matrix for w in orbit]).reshape(len(orbit), 16)
+    """witness_orbit()'s matrices flattened into the rows of one read-only
+    (1280, 16) array."""
+    out = np.concatenate([_orbit(*key)[0] for key in _WITNESS_BASES])
+    out = out.reshape(-1, 16)
+    out.setflags(write=False)
+    return out
 
 
 def witness_value(witness, r):

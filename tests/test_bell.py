@@ -43,6 +43,13 @@ def test_density_to_weights_rejects_off_diagonal():
         density_to_weights(rho)
 
 
+def test_density_to_weights_rejects_nan():
+    rho = weights_to_density([0.7, 0.1, 0.1, 0.1])
+    rho[0, 1] = rho[1, 0] = np.nan
+    with pytest.raises(NotBellDiagonalError):
+        density_to_weights(rho)
+
+
 def test_coords_round_trip_and_rejection():
     rng = np.random.default_rng(12)
     for _ in range(20):

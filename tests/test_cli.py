@@ -9,7 +9,7 @@ import pytest
 import slocc
 from slocc.choi import rho_nd
 from slocc.cli import _selfcheck_items, main
-from slocc.separability import CANONICAL_WITNESSES, D0, vertex_set
+from slocc.separability import CANONICAL_WITNESSES, D0, G0, vertex_set
 
 
 def _write(tmp_path, name, obj):
@@ -94,6 +94,12 @@ def test_separable_d0(tmp_path, capsys):
                {"kind": "rmatrix", "r": np.diag([0.25] * 4).tolist()})
     assert main(["separable", f]) == 0
     assert "SEPARABLE" in capsys.readouterr().out
+    # vertex indices follow vertex_set(): D0's orbit first, G0's from 24
+    for name, seed, index in (("d0", D0, "0"), ("g0", G0, "24")):
+        f = _write(tmp_path, f"{name}.json",
+                   {"kind": "rmatrix", "r": seed.tolist()})
+        assert main(["--json", "separable", f]) == 0
+        assert json.loads(capsys.readouterr().out)["weights"] == {index: 1.0}
 
 
 def test_separable_bell_pair(tmp_path, capsys):

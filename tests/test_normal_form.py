@@ -254,6 +254,31 @@ def test_validation():
         classify(np.diag([1.5, -0.5, 0.0, 0.0]))
 
 
+def _nan_pair_state():
+    # NaN off the diagonal only: the trace stays 1, the marginals I/2
+    rho = np.eye(4, dtype=complex) / 4.0
+    rho[0, 1] = rho[1, 0] = np.nan
+    return rho
+
+
+def test_classify_rejects_nan():
+    with pytest.raises(InvalidStateError):
+        classify(_nan_pair_state())
+
+
+def test_can_convert_two_qubit_rejects_nan():
+    good = weights_to_density([0.6, 0.2, 0.1, 0.1])
+    with pytest.raises(InvalidStateError):
+        can_convert_two_qubit(_nan_pair_state(), good)
+    with pytest.raises(InvalidStateError):
+        can_convert_two_qubit(good, _nan_pair_state())
+
+
+def test_filter_iteration_rejects_nan():
+    with pytest.raises(InvalidStateError):
+        filter_iteration(_nan_pair_state())
+
+
 _unit = st.floats(-1.0, 1.0, allow_nan=False)
 
 

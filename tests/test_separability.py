@@ -1,3 +1,8 @@
+import itertools
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -62,6 +67,63 @@ def test_transposed_witnesses_follow_the_originals():
         base = CANONICAL_WITNESSES[w.family]
         base = base.T if w.transposed else base
         assert np.array_equal(w.matrix, base[np.ix_(w.row_perm, w.col_perm)])
+
+
+def _loop_orbit(base):
+    """Reference for separability._orbit: each distinct base[rp][:, cp], with
+    the first (rp, cp) in lexicographic order that gives it."""
+    seen = {}
+    for rp, cp in itertools.product(itertools.permutations(range(4)),
+                                    repeat=2):
+        m = base[np.ix_(rp, cp)]
+        seen.setdefault(m.tobytes(), (m, rp, cp))
+    return list(seen.values())
+
+
+def test_orbit_order_matches_the_permutation_loop():
+    # certificate indices into vertex_set() and witness_orbit() rest on
+    # this order
+    seeds = [(name, m, rp, cp) for name, base in (("D0", D0), ("G0", G0))
+             for m, rp, cp in _loop_orbit(base)]
+    assert [v.tobytes() for v in vertex_set()] == \
+        [m.tobytes() for _, m, _, _ in seeds]
+    assert list(slocc.separability._vertex_origins().items()) == \
+        [(m.tobytes(), (name, rp, cp)) for name, m, rp, cp in seeds]
+    scan = [(f, False) for f in ("W0", "W1", "W2", "W3", "W4")] \
+        + [(f, True) for f in ("W2", "W3", "W4")]
+    expected = []
+    for family, transposed in scan:
+        base = CANONICAL_WITNESSES[family]
+        for m, rp, cp in _loop_orbit(base.T if transposed else base):
+            expected.append((m.tobytes(), family, rp, cp, transposed))
+    orbit = witness_orbit()
+    assert [(w.matrix.tobytes(), w.family, w.row_perm, w.col_perm,
+             w.transposed) for w in orbit] == expected
+    stack = slocc.separability._witness_stack()
+    assert stack.shape == (len(orbit), 16)
+    for k, w in enumerate(orbit):
+        assert stack[k].tobytes() == w.matrix.tobytes()
+    for m in [*vertex_set(), *(w.matrix for w in orbit), stack]:
+        assert not m.flags.writeable
+    # each of the ten orbits (D0, G0, W0-W4, transposed W2-W4) built once
+    assert slocc.separability._orbit.cache_info().currsize == 10
+
+
+def test_import_builds_no_orbit():
+    # the orbits are built on first use: neither import nor a
+    # Bell-diagonal decision pays for them
+    code = ("import slocc\n"
+            "from slocc import separability as s\n"
+            "slocc.can_convert_bd([0.7, 0.1, 0.1, 0.1], "
+            "[0.6, 0.2, 0.1, 0.1])\n"
+            "for f in (s._orbit, s.vertex_set, s._vertex_origins, "
+            "s._vertex_array, s.witness_orbit, s._witness_stack, "
+            "s._walk_tables):\n"
+            "    assert f.cache_info().currsize == 0, f\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(slocc.__file__)))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                   capture_output=True)
 
 
 def test_just_outside_a_transposed_w2_facet():
