@@ -81,18 +81,18 @@ def weights_to_density(lam):
     return rho
 
 
-def density_to_weights(rho, offdiag_tol=TOL.equality):
+def density_to_weights(rho):
     """Bell weights of a Bell-diagonal density matrix.
 
     Raises NotBellDiagonalError if any off-diagonal Bell-basis element
-    exceeds `offdiag_tol`.
+    exceeds TOL.equality.
     """
     rho = np.asarray(rho, dtype=complex)
     U = BELL_VECTORS.T  # columns are Bell vectors
     in_bell = U.conj().T @ rho @ U
     off = in_bell - np.diag(np.diag(in_bell))
     # negated, so a NaN element fails it
-    if not np.abs(off).max() <= offdiag_tol:
+    if not np.abs(off).max() <= TOL.equality:
         raise NotBellDiagonalError(
             f"off-diagonal Bell element {np.abs(off).max():.3e}")
     return np.real(np.diag(in_bell))

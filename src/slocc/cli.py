@@ -28,12 +28,13 @@ from .bell import (canonical_order, density_to_weights, is_entangled_bd,
                    validate_weights)
 from .choi import apply_map_density, map_action_bd, quasi_reverse_map, rho_nd, \
     rho_nd_prime
-from .convert import can_convert_bd, lp_oracle_membership, monotones
+from .convert import (_separable_endpoint, can_convert_bd,
+                      lp_oracle_membership, monotones)
 from .normal_form import classify
 from .numerics import TOL, NumericsError, convex_membership
 from .separability import (CANONICAL_WITNESSES, ConvexDecomposition,
-                           ViolatedWitness, is_separable,
-                           seesaw_min_product, validate_rmatrix, vertex_set,
+                           ViolatedWitness, _vertex_array, is_separable,
+                           seesaw_min_product, validate_rmatrix,
                            verify_extension_certificate_W2, witness_value)
 from .symmetric import QubitOrdering, assemble
 
@@ -55,79 +56,65 @@ def _fmt_vec(v):
     return " ".join(_fmt(x) for x in v)
 
 
-def _finite(x, where):
-    if not isinstance(x, (int, float)) or isinstance(x, bool) \
-            or not math.isfinite(x):
-        raise InputError(f"{where}: expected a finite number, got {x!r}")
-    return float(x)
-
-
 def _read_json(path):
     try:
         text = sys.stdin.read() if path == "-" else Path(path).read_text()
+        obj = json.loads(text)
     except OSError as exc:
         raise InputError(f"{path}: {exc}") from exc
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad UTF-8 or JSON, or an over-long integer
         raise InputError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(obj, dict) or "kind" not in obj:
         raise InputError(f"{path}: expected an object with a 'kind' field")
     return obj
 
 
-def _parse_real_matrix(rows, where, shape=(4, 4)):
-    if not isinstance(rows, list) or len(rows) != shape[0] \
-            or any(not isinstance(r, list) or len(r) != shape[1] for r in rows):
-        raise InputError(f"{where}: expected a {shape[0]}x{shape[1]} array")
-    return np.array([[_finite(x, f"{where}[{i}][{j}]")
-                      for j, x in enumerate(row)]
-                     for i, row in enumerate(rows)])
+def _array(obj, shape, where):
+    """Nested JSON lists of finite numbers as a float array of `shape`;
+    InputError names the first entry, in reading order, that does not fit."""
+    if not shape:
+        try:  # a bool is an int to Python; a huge int overflows a float
+            if not isinstance(obj, bool) and math.isfinite(obj):
+                return float(obj)
+        except (TypeError, OverflowError):
+            pass
+        raise InputError(f"{where}: expected a finite number, got {obj!r}")
+    if not isinstance(obj, list) or len(obj) != shape[0]:
+        raise InputError(f"{where}: expected a list of {shape[0]} entries")
+    return np.array([_array(x, shape[1:], f"{where}[{i}]")
+                     for i, x in enumerate(obj)])
+
+
+# kind: (field, shape read, check of the array read); a density entry is a
+# [re, im] pair, viewed bit for bit as one complex number
+_KINDS = {
+    "weights": ("lambda", (4,),
+                lambda a: np.clip(validate_weights(a), 0.0, None)),
+    "rmatrix": ("r", (4, 4), validate_rmatrix),
+    "density": ("matrix", (4, 4, 2), lambda a: a.view(complex)[..., 0]),
+}
 
 
 def parse_state_file(path):
     """(kind, payload): weights vector, 4x4 density, or 4x4 r-matrix."""
     obj = _read_json(path)
     kind = obj["kind"]
-    if kind == "weights":
-        lam = obj.get("lambda")
-        if not isinstance(lam, list) or len(lam) != 4:
-            raise InputError(f"{path}: 'lambda' must be a list of 4 numbers")
-        lam = [_finite(x, f"{path}: lambda[{i}]") for i, x in enumerate(lam)]
-        try:
-            return "weights", np.clip(validate_weights(lam), 0.0, None)
-        except NumericsError as exc:
-            raise InputError(f"{path}: {exc}") from exc
-    if kind == "rmatrix":
-        r = _parse_real_matrix(obj.get("r"), f"{path}: r")
-        try:
-            return "rmatrix", validate_rmatrix(r)
-        except NumericsError as exc:
-            raise InputError(f"{path}: {exc}") from exc
-    if kind == "density":
-        rows = obj.get("matrix")
-        if not isinstance(rows, list) or len(rows) != 4:
-            raise InputError(f"{path}: 'matrix' must be 4 rows")
-        out = np.zeros((4, 4), dtype=complex)
-        for i, row in enumerate(rows):
-            if not isinstance(row, list) or len(row) != 4:
-                raise InputError(f"{path}: matrix[{i}] must have 4 entries")
-            for j, cell in enumerate(row):
-                if not isinstance(cell, list) or len(cell) != 2:
-                    raise InputError(
-                        f"{path}: matrix[{i}][{j}] must be [re, im]")
-                out[i, j] = complex(_finite(cell[0], f"{path}: matrix[{i}][{j}].re"),
-                                    _finite(cell[1], f"{path}: matrix[{i}][{j}].im"))
-        return "density", out
-    raise InputError(f"{path}: unknown kind {kind!r}")
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise InputError(f"{path}: unknown kind {kind!r}")
+    field, shape, check = _KINDS[kind]
+    values = _array(obj.get(field), shape, f"{path}: {field}")
+    try:
+        return kind, check(values)
+    except NumericsError as exc:
+        raise InputError(f"{path}: {exc}") from exc
 
 
-def _weights_from_state(kind, payload, path, tol):
+def _weights_from_state(kind, payload, path):
     if kind == "weights":
         return payload
     if kind == "density":
         try:
-            return density_to_weights(payload, offdiag_tol=tol)
+            return density_to_weights(payload)
         except NumericsError as exc:
             raise InputError(f"{path}: {exc}") from exc
     raise InputError(f"{path}: kind {kind!r} not usable as Bell weights")
@@ -148,7 +135,7 @@ def _emit(args, text_lines, payload):
 
 def cmd_monotones(args):
     kind, payload = parse_state_file(args.state)
-    lam = _weights_from_state(kind, payload, args.state, args.tol)
+    lam = _weights_from_state(kind, payload, args.state)
     lam, _ = canonical_order(lam)
     if not is_entangled_bd(lam):
         print("NOT_ENTANGLED: lambda_1 <= 1/2, monotones undefined",
@@ -173,23 +160,20 @@ def cmd_monotones(args):
 def cmd_convert(args):
     ks, ps = parse_state_file(args.source)
     kd, pd = parse_state_file(args.target)
-    lam, _ = canonical_order(_weights_from_state(ks, ps, args.source, args.tol))
-    lam_p, _ = canonical_order(_weights_from_state(kd, pd, args.target,
-                                                   args.tol))
-    if not is_entangled_bd(lam_p):
-        _emit(args, ["YES", "rule: target separable"],
-              {"convertible": True, "reason": "target separable"})
-        return EXIT_YES
-    if not is_entangled_bd(lam):
-        _emit(args, ["NO", "rule: separable source, entangled target"],
-              {"convertible": False,
-               "reason": "separable source, entangled target"})
-        return EXIT_NO
+    lam, _ = canonical_order(_weights_from_state(ks, ps, args.source))
+    lam_p, _ = canonical_order(_weights_from_state(kd, pd, args.target))
+    rule = _separable_endpoint(is_entangled_bd(lam), is_entangled_bd(lam_p))
+    if rule is not None:
+        _emit(args, ["YES" if rule.convertible else "NO",
+                     f"rule: {rule.reason}"],
+              {"convertible": rule.convertible, "reason": rule.reason})
+        return EXIT_YES if rule.convertible else EXIT_NO
     decision = can_convert_bd(lam, lam_p, with_map=True)
     if not decision.convertible:
         name = decision.violated_monotone
-        src = dict(zip(("E1", "E2", "E3"), monotones(lam).as_floats()))[name]
-        dst = dict(zip(("E1", "E2", "E3"), monotones(lam_p).as_floats()))[name]
+        k = ("E1", "E2", "E3").index(name)
+        src = monotones(lam).as_floats()[k]
+        dst = monotones(lam_p).as_floats()[k]
         _emit(args, ["NO",
                      f"{name} violated: {_fmt(src)} < {_fmt(dst)}"],
               {"convertible": False, "violated_monotone": name,
@@ -221,15 +205,18 @@ def cmd_separable(args):
         raise InputError(f"{args.state}: 'separable' expects kind 'rmatrix'")
     cert = is_separable(payload)
     if isinstance(cert, ConvexDecomposition):
-        verts = vertex_set()
-        recon = sum(w * v for w, v in zip(cert.weights, verts))
-        dev = float(np.abs(recon - payload).max())
+        idx = np.frombuffer(cert.support, dtype=np.uint8)
+        coef = np.frombuffer(cert.coefficients)
+        verts = _vertex_array()
+        # summed in the certificate's ascending support order
+        recon = sum(c * verts[i] for i, c in zip(idx, coef))
+        dev = float(np.abs(recon - payload.ravel()).max())
         if dev > TOL.solver:
             print(f"internal error: decomposition deviation {dev:.3e}",
                   file=sys.stderr)
             return EXIT_ERROR
-        support = [(i, float(w)) for i, w in enumerate(cert.weights)
-                   if w > TOL.tie]
+        support = [(int(i), float(c)) for i, c in zip(idx, coef)
+                   if c > TOL.tie]
         lines = ["SEPARABLE",
                  f"decomposition deviation: {_fmt(dev)}"]
         lines += [f"vertex {i}: weight {_fmt(w)}" for i, w in support]
@@ -283,11 +270,8 @@ def cmd_apply_map(args):
     if kind != "rmatrix":
         raise InputError(f"{args.rmatrix}: 'apply-map' expects kind 'rmatrix'")
     ks, ps = parse_state_file(args.state)
-    lam = _weights_from_state(ks, ps, args.state, args.tol)
-    try:
-        out, weight = map_action_bd(r, lam)
-    except NumericsError as exc:
-        raise InputError(str(exc)) from exc
+    lam = _weights_from_state(ks, ps, args.state)
+    out, weight = map_action_bd(r, lam)
     _emit(args, [f"weights: {_fmt_vec(out)}",
                  f"success weight: {_fmt(weight)}"],
           {"weights": [float(x) for x in out],
@@ -362,7 +346,7 @@ def _selfcheck_items(seed):
     def witness_scan_vs_lp():
         # the 60-vertex LP is the independent check of both answers
         local = np.random.default_rng(int(seeds[7]))
-        verts = np.stack([v.ravel() for v in vertex_set()])
+        verts = _vertex_array()
         separable = 0
         worst, support = 0.0, 0
         for _ in range(100):
@@ -422,34 +406,24 @@ def build_parser():
                         help="machine-readable JSON output")
     parser.add_argument("--seed", type=int, default=0,
                         help="RNG seed for selfcheck (default 0)")
-    parser.add_argument("--tol", type=float, default=TOL.equality,
-                        help="tolerance for Bell-diagonality checks")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("monotones", help="ordered lambda and E1..E3")
-    p.add_argument("state")
-    p.set_defaults(fn=cmd_monotones)
-
-    p = sub.add_parser("convert", help="decide lambda -> lambda'")
-    p.add_argument("source")
-    p.add_argument("target")
-    p.set_defaults(fn=cmd_convert)
-
-    p = sub.add_parser("separable", help="certify an r-matrix state")
-    p.add_argument("state")
-    p.set_defaults(fn=cmd_separable)
-
-    p = sub.add_parser("normal-form", help="classify a two-qubit density")
-    p.add_argument("state")
-    p.set_defaults(fn=cmd_normal_form)
-
-    p = sub.add_parser("apply-map", help="act an r-matrix on Bell weights")
-    p.add_argument("rmatrix")
-    p.add_argument("state")
-    p.set_defaults(fn=cmd_apply_map)
-
-    p = sub.add_parser("selfcheck", help="run the built-in verification suite")
-    p.set_defaults(fn=cmd_selfcheck)
+    for name, fn, operands, text in (
+            ("monotones", cmd_monotones, ["state"],
+             "ordered lambda and E1..E3"),
+            ("convert", cmd_convert, ["source", "target"],
+             "decide lambda -> lambda'"),
+            ("separable", cmd_separable, ["state"],
+             "certify an r-matrix state"),
+            ("normal-form", cmd_normal_form, ["state"],
+             "classify a two-qubit density"),
+            ("apply-map", cmd_apply_map, ["rmatrix", "state"],
+             "act an r-matrix on Bell weights"),
+            ("selfcheck", cmd_selfcheck, [],
+             "run the built-in verification suite")):
+        p = sub.add_parser(name, help=text)
+        for operand in operands:
+            p.add_argument(operand)
+        p.set_defaults(fn=fn)
     return parser
 
 
@@ -457,10 +431,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except NumericsError as exc:
+    except (InputError, NumericsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -117,6 +117,18 @@ class Decision:
     rmatrix: np.ndarray | None = None
 
 
+def _separable_endpoint(source_entangled, target_entangled):
+    """The Decision a separable endpoint fixes, or None if both endpoints
+    are entangled: every state reaches a separable target (discard and
+    prepare), and a separable source reaches no entangled target."""
+    if not target_entangled:
+        return Decision(convertible=True, reason="target separable")
+    if not source_entangled:
+        return Decision(convertible=False,
+                        reason="separable source, entangled target")
+    return None
+
+
 def can_convert_bd(lam, lam_prime, with_map=True):
     """Decide SLOCC convertibility between ordered entangled weight vectors.
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bell import PAULI_Y, PAULIS
-from .convert import Decision, can_convert_bd
+from .convert import _separable_endpoint, can_convert_bd
 from .numerics import (TOL, InvalidStateError, NumericsError, partial_trace,
                        partial_transpose)
 
@@ -40,7 +40,7 @@ _ETA = np.diag([1.0, -1.0, -1.0, -1.0])
 
 def concurrence(rho):
     """Wootters concurrence of a two-qubit density matrix."""
-    rho = np.asarray(rho, dtype=complex)
+    rho = _validate_state(rho)
     tilde = _YY @ rho.conj() @ _YY
     vals = np.linalg.eigvals(rho @ tilde)
     w = np.sort(np.sqrt(np.abs(vals.real)))[::-1]
@@ -64,6 +64,10 @@ def _validate_state(rho):
 
 def is_ppt(rho):
     """Positive partial transpose: exact separability test for two qubits."""
+    return _is_ppt(_validate_state(rho))
+
+
+def _is_ppt(rho):
     pt = partial_transpose(rho, (2, 2), 1)
     return bool(np.linalg.eigvalsh(pt).min() >= TOL.ppt)
 
@@ -187,7 +191,7 @@ def classify(rho, *, estimate_b=None, rng=None):
     b is exact and nothing is random.
     """
     rho = _validate_state(rho)
-    if is_ppt(rho):
+    if _is_ppt(rho):
         return NormalFormResult(kind="separable")
     lam, jordan = _lorentz_normal_form(rho)
     if jordan:
@@ -217,9 +221,6 @@ def can_convert_two_qubit(rho, rho_prime):
     the Bell-diagonal representatives.
     """
     src, dst = classify(rho), classify(rho_prime)
-    if dst.kind == "separable":
-        return Decision(convertible=True, reason="target separable")
-    if src.kind == "separable":
-        return Decision(convertible=False,
-                        reason="separable source, entangled target")
-    return can_convert_bd(src.weights, dst.weights)
+    return _separable_endpoint(src.kind != "separable",
+                               dst.kind != "separable") \
+        or can_convert_bd(src.weights, dst.weights)

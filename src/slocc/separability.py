@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .numerics import (TOL, NumericsError, InvalidStateError, is_hermitian,
-                       NonHermitianError)
+                       NonHermitianError, partial_transpose)
 from .symmetric import QubitOrdering, assemble
 
 __all__ = [
@@ -420,8 +420,7 @@ def verify_extension_certificate_W2():
     P = np.kron(piA, np.eye(4))
     lhs = P @ np.kron(np.eye(4), Zw) @ P
     # partial transpose on the first C^4 factor of C^4 x C^4 x C^4
-    T = z2_certificate_matrix().reshape(4, 16, 4, 16)
-    Z2_pt = np.transpose(T, (2, 1, 0, 3)).reshape(64, 64)
+    Z2_pt = partial_transpose(z2_certificate_matrix(), (4, 4, 4), 0)
     residual = float(np.abs(lhs - P @ Z2_pt @ P).max())
     if residual > TOL.equality:
         raise CertificateMismatchError(

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import slocc
+from slocc.bell import BELL_VECTORS
 from slocc.choi import rho_nd
 from slocc.cli import _selfcheck_items, main
 from slocc.separability import CANONICAL_WITNESSES, D0, G0, vertex_set
@@ -87,6 +88,32 @@ def test_convert_to_separable_target(worked_pair, tmp_path, capsys):
     mm = _weights_file(tmp_path, "mm.json", [0.25, 0.25, 0.25, 0.25])
     assert main(["convert", src, mm]) == 0
     assert "target separable" in capsys.readouterr().out
+
+
+def test_convert_from_separable_source(worked_pair, tmp_path, capsys):
+    _, dst = worked_pair
+    mm = _weights_file(tmp_path, "mm.json", [0.25, 0.25, 0.25, 0.25])
+    assert main(["convert", mm, dst]) == 1
+    assert capsys.readouterr().out == \
+        "NO\nrule: separable source, entangled target\n"
+    assert main(["--json", "convert", mm, dst]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "convertible": False, "reason": "separable source, entangled target"}
+
+
+def test_density_off_bell_diagonal_exit_2(worked_pair, tmp_path, capsys):
+    # one 1e-3 off-diagonal element in the Bell basis: not Bell-diagonal
+    in_bell = np.diag([0.7, 0.1, 0.1, 0.1]).astype(complex)
+    in_bell[0, 1] = in_bell[1, 0] = 1e-3
+    U = BELL_VECTORS.T
+    f = _density_file(tmp_path, "off.json", U @ in_bell @ U.conj().T)
+    src, _ = worked_pair
+    for argv in (["monotones", f], ["convert", src, f], ["convert", f, src]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"error: {f}: off-diagonal Bell element 1.000e-03")
 
 
 def test_separable_d0(tmp_path, capsys):
@@ -222,6 +249,48 @@ def test_parse_errors_exit_2(tmp_path, capsys):
     assert main(["monotones", nan]) == 2
     wrongkind = _write(tmp_path, "wk.json", {"kind": "mystery"})
     assert main(["monotones", wrongkind]) == 2
+
+
+_DENSITY = [[[0.25, 0.0] if i == j else [0.0, 0.0] for j in range(4)]
+            for i in range(4)]
+
+
+@pytest.mark.parametrize("text, field", [
+    ('{"kind": "weights", "lambda": [0.7, 0.3, 0.0]}', "lambda"),
+    ('{"kind": "rmatrix", "r": [[0.25, 0.25], [0.25, 0.25]]}', "r"),
+    (json.dumps({"kind": "density", "matrix": _DENSITY[:3]}), "matrix"),
+    (json.dumps({"kind": "density", "matrix": [[[0.25, 0.0, 0.0]]
+                                               + _DENSITY[0][1:]]
+                 + _DENSITY[1:]}), "matrix[0][0]"),
+    ('{"kind": "weights", "lambda": [true, 0, 0, 0]}', "lambda[0]"),
+    ('{"kind": "weights", "lambda": [1e400, 0, 0, 0]}', "lambda[0]"),
+    ('{"kind": "rmatrix", "r": [[1e400, 0, 0, 0], [0, 0, 0, 0], '
+     '[0, 0, 0, 0], [0, 0, 0, 0]]}', "r[0][0]"),
+    # an integer too large for a float, and one too long to parse
+    ('{"kind": "weights", "lambda": [1' + "0" * 400 + ', 0, 0, 0]}',
+     "lambda[0]"),
+    ('{"kind": "weights", "lambda": [1' + "0" * 5000 + ', 0, 0, 0]}',
+     "invalid JSON"),
+], ids=["short-lambda", "2x2-r", "3-row-matrix", "3-entry-cell", "true",
+        "inf-weight", "inf-r-entry", "int-past-float", "int-past-digit-limit"])
+def test_malformed_input_exit_2(tmp_path, capsys, text, field):
+    f = tmp_path / "bad.json"
+    f.write_text(text)
+    for argv in (["monotones", str(f)], ["--json", "monotones", str(f)],
+                 ["separable", str(f)], ["normal-form", str(f)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {f}: {field}")
+
+
+def test_undecodable_file_exit_2(tmp_path, capsys):
+    f = tmp_path / "latin1.json"
+    f.write_bytes(b'{"kind": "weights", "lambda": [1, 0, 0, 0], "x": "\xff"}')
+    assert main(["monotones", str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {f}: invalid JSON")
 
 
 @pytest.mark.parametrize("lam, message", [

@@ -41,6 +41,22 @@ def test_ppt_detects_bell_diagonal_entanglement():
     assert is_ppt(np.eye(4) / 4.0)
 
 
+def _nan_pair_state():
+    rho = np.eye(4, dtype=complex) / 4.0
+    rho[0, 1] = rho[1, 0] = np.nan
+    return rho
+
+
+def test_is_ppt_rejects_nan():
+    with pytest.raises(InvalidStateError):
+        is_ppt(_nan_pair_state())
+
+
+def test_concurrence_rejects_nan():
+    with pytest.raises(InvalidStateError):
+        concurrence(_nan_pair_state())
+
+
 def test_filter_leaves_bell_diagonal_states_alone():
     rho = weights_to_density([0.6, 0.2, 0.1, 0.1])
     res = filter_iteration(rho)
