@@ -373,11 +373,11 @@ def _selfcheck_items(seed):
             ("witness scan vs LP oracle", witness_scan_vs_lp)]
 
 
-def _random_ordered_entangled(rng):
+def _random_ordered_entangled(rng, floor=0.5 + 1e-6):
     lam = np.sort(rng.dirichlet(np.ones(4)))[::-1]
-    if lam[0] <= 0.5:
-        # pull the leading weight past 1/2, renormalize the tail
-        t = rng.uniform(0.5 + 1e-6, 1.0)
+    if lam[0] <= floor:
+        # pull the leading weight past the floor, renormalize the tail
+        t = rng.uniform(floor, 1.0)
         lam = np.concatenate(([t], lam[1:] * (1 - t) / lam[1:].sum()))
     return lam
 

@@ -104,17 +104,25 @@ def ratio_geq(a, b):
     return an * bd >= bn * ad
 
 
-# one shared string per monotone, so a NO answer allocates no text
-_INCREASES = {name: f"{name} increases from source to target"
-              for name in ("E1", "E2", "E3")}
-
-
 @dataclass(frozen=True, slots=True)
 class Decision:
     convertible: bool
     reason: str
     violated_monotone: str | None = None
-    rmatrix: np.ndarray | None = None
+    rmatrix_bytes: bytes | None = None  # immutable; lighter than an array
+
+    @property
+    def rmatrix(self):
+        """The r-matrix realizing a YES, as a read-only 4x4 array, or None."""
+        if self.rmatrix_bytes is not None:
+            return np.frombuffer(self.rmatrix_bytes).reshape(4, 4)
+
+
+# every answer without a map is one shared constant: a NO allocates nothing
+_NO = {name: Decision(False, f"{name} increases from source to target", name)
+       for name in ("E1", "E2", "E3")}
+_TARGET_SEPARABLE = Decision(True, "target separable")
+_SOURCE_SEPARABLE = Decision(False, "separable source, entangled target")
 
 
 def _separable_endpoint(source_entangled, target_entangled):
@@ -122,10 +130,9 @@ def _separable_endpoint(source_entangled, target_entangled):
     are entangled: every state reaches a separable target (discard and
     prepare), and a separable source reaches no entangled target."""
     if not target_entangled:
-        return Decision(convertible=True, reason="target separable")
+        return _TARGET_SEPARABLE
     if not source_entangled:
-        return Decision(convertible=False,
-                        reason="separable source, entangled target")
+        return _SOURCE_SEPARABLE
     return None
 
 
@@ -139,19 +146,15 @@ def can_convert_bd(lam, lam_prime, with_map=True):
     lam_prime = _require_ordered_entangled(lam_prime)
     m_src = _monotones(lam)
     m_dst = _monotones(lam_prime)
-    checks = [
-        ("E1", m_src.e1 >= m_dst.e1),
-        ("E2", ratio_geq(m_src.e2, m_dst.e2)),
-        ("E3", ratio_geq(m_src.e3, m_dst.e3)),
-    ]
-    for name, ok in checks:
-        if not ok:
-            return Decision(convertible=False,
-                            reason=_INCREASES[name],
-                            violated_monotone=name)
-    rmat = _synthesize_map(lam, lam_prime) if with_map else None
+    if not m_src.e1 >= m_dst.e1:
+        return _NO["E1"]
+    if not ratio_geq(m_src.e2, m_dst.e2):
+        return _NO["E2"]
+    if not ratio_geq(m_src.e3, m_dst.e3):
+        return _NO["E3"]
+    rmat = _synthesize_map(lam, lam_prime).tobytes() if with_map else None
     return Decision(convertible=True, reason="all monotones non-increasing",
-                    rmatrix=rmat)
+                    rmatrix_bytes=rmat)
 
 
 _TAIL_PERMS = np.array([(0,) + p

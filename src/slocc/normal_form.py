@@ -25,8 +25,7 @@ import numpy as np
 
 from .bell import PAULI_Y, PAULIS
 from .convert import _separable_endpoint, can_convert_bd
-from .numerics import (TOL, InvalidStateError, NumericsError, partial_trace,
-                       partial_transpose)
+from .numerics import TOL, InvalidStateError, NumericsError, partial_trace
 
 
 class SeparableInputError(NumericsError):
@@ -34,42 +33,62 @@ class SeparableInputError(NumericsError):
 
 
 _YY = np.kron(PAULI_Y, PAULI_Y)
-_SIGMA_PAIRS = np.array([[np.kron(a, b) for b in PAULIS] for a in PAULIS])
-_ETA = np.diag([1.0, -1.0, -1.0, -1.0])
+# R_ij = tr[rho s_i x s_j] = (rho.ravel() @ _PAULI_TABLE)[4 i + j]
+_PAULI_TABLE = np.array([[np.kron(a, b).T.ravel() for b in PAULIS]
+                         for a in PAULIS]).reshape(16, 16).T
+_ETA_ETA = np.outer([1.0, -1.0, -1.0, -1.0], [1.0, -1.0, -1.0, -1.0])
+# 1 + t @ _T_TO_LAM is 4 lam, in Bell order, for correlations t
+_T_TO_LAM = np.array([[1, -1, 1, -1], [-1, 1, 1, -1], [1, 1, -1, -1]], float)
 
 
 def concurrence(rho):
     """Wootters concurrence of a two-qubit density matrix."""
-    rho = _validate_state(rho)
+    rho = _states((rho,))[0][0]
     tilde = _YY @ rho.conj() @ _YY
     vals = np.linalg.eigvals(rho @ tilde)
     w = np.sort(np.sqrt(np.abs(vals.real)))[::-1]
     return float(max(0.0, w[0] - w[1] - w[2] - w[3]))
 
 
-def _validate_state(rho):
-    rho = np.asarray(rho, dtype=complex)
-    if not np.isfinite(rho).all():
+def _states(rhos):
+    """(validated (n, 4, 4) stack, (n,) PPT flags) of a sequence of states.
+
+    Each state is checked, in this order, for finite entries, a 4x4
+    Hermitian shape, unit trace and positivity; the first state that fails
+    raises InvalidStateError for its first failed check.  One eigen-solve
+    over the states and their partial transposes serves every PSD and PPT
+    test.
+    """
+    try:
+        stack = np.array(rhos, dtype=complex)
+    except (TypeError, ValueError):  # ragged, or states of different shapes
+        stack = None
+    if stack is not None and stack.shape[1:] == (4, 4) \
+            and np.isfinite(stack).all():
+        hermitian = np.abs(stack - stack.conj().transpose(0, 2, 1)) \
+            .max(axis=(1, 2)) <= TOL.equality
+        trace = stack.trace(axis1=1, axis2=2).real
+        if hermitian.all() and (np.abs(trace - 1.0) <= TOL.equality).all():
+            n = len(stack)
+            pt = stack.reshape(n, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2)
+            low = np.linalg.eigvalsh(
+                np.concatenate((stack, pt.reshape(n, 4, 4))))[:, 0]
+            if low[:n].min() < TOL.psd_slack:
+                raise InvalidStateError("state is not positive semidefinite")
+            return stack, low[n:] >= TOL.ppt
+    if len(rhos) > 1:  # raise for the first state that fails on its own
+        for rho in rhos:
+            _states((rho,))
+    if stack is not None and not np.isfinite(stack).all():
         raise InvalidStateError("state has a non-finite entry")
-    # negated comparisons, so a NaN fails them
-    if rho.shape != (4, 4) \
-            or not np.abs(rho - rho.conj().T).max() <= TOL.equality:
+    if stack is None or stack.shape[1:] != (4, 4) or not hermitian[0]:
         raise InvalidStateError("expected a 4x4 Hermitian matrix")
-    if not abs(np.trace(rho).real - 1.0) <= TOL.equality:
-        raise InvalidStateError(f"trace {np.trace(rho).real}, expected 1")
-    if np.linalg.eigvalsh(rho).min() < TOL.psd_slack:
-        raise InvalidStateError("state is not positive semidefinite")
-    return rho
+    raise InvalidStateError(f"trace {trace[0]}, expected 1")
 
 
 def is_ppt(rho):
     """Positive partial transpose: exact separability test for two qubits."""
-    return _is_ppt(_validate_state(rho))
-
-
-def _is_ppt(rho):
-    pt = partial_transpose(rho, (2, 2), 1)
-    return bool(np.linalg.eigvalsh(pt).min() >= TOL.ppt)
+    return bool(_states((rho,))[1][0])
 
 
 def _marginal(rho, side):
@@ -105,7 +124,7 @@ def filter_iteration(rho, max_iter=500):
     slowly converging Bell-diagonal-class states (near rank 2) can also
     exhaust the sweeps, so non-convergence is not a class signal.
     """
-    rho = _validate_state(rho)
+    rho = _states((rho,))[0][0]
     half = np.eye(2) / 2.0
     for sweep in range(max_iter + 1):
         ra = _marginal(rho, 0)
@@ -139,8 +158,8 @@ class NormalFormResult:
     b: float | None = None              # for nd_class
 
 
-def _lorentz_normal_form(rho):
-    """(ordered Bell weights, whether M = eta R eta R^T has a Jordan block).
+def _lorentz_normal_forms(rhos):
+    """((n, 4) ordered Bell weights, (n,) Jordan flags of M = eta R eta R^T).
 
     Eigenvalues of M that agree within c = TOL.lorentz relative to |M| form
     a cluster.  A cluster of size k of a diagonalizable M leaves M - mu I
@@ -148,36 +167,30 @@ def _lorentz_normal_form(rho):
     Jordan block.  Its eigenvalues split by about sqrt(machine epsilon)
     times the filters' conditioning and are replaced by their mean, which is
     exact to rounding; those of a diagonalizable cluster are accurate as
-    they stand.
+    they stand.  Only states with a gap within the slack are clustered.
     """
-    R = np.einsum("ijkl,lk->ij", _SIGMA_PAIRS, rho).real
-    M = _ETA @ R @ _ETA @ R.T
-    slack = TOL.lorentz * np.linalg.norm(M)
-    mu = np.linalg.eigvals(M)
-    mu = mu[np.argsort(-mu.real)]
-    clusters = [[0]]
-    for k in range(1, 4):
-        if abs(mu[k] - mu[k - 1]) <= slack:
-            clusters[-1].append(k)
-        else:
-            clusters.append([k])
-    jordan = False
-    for idx in clusters:
-        if len(idx) > 1:
-            m = mu[idx].mean()
-            s = np.linalg.svd(M - m.real * np.eye(4), compute_uv=False)
-            if s[4 - len(idx)] > slack:
-                jordan = True
-                mu[idx] = m
+    n = len(rhos)
+    # a (1, 16) row per state: R is the same bits whatever the stack size
+    R = (rhos.reshape(n, 1, 16) @ _PAULI_TABLE).real.reshape(n, 4, 4)
+    M = (R * _ETA_ETA) @ R.transpose(0, 2, 1)
+    slack = TOL.lorentz * np.sqrt((M * M).sum(axis=(1, 2)))
+    # descending real parts; the imaginary parts order a conjugate pair
+    mu = np.sort(np.linalg.eigvals(M), axis=1)[:, ::-1]
+    close = np.abs(mu[:, 1:] - mu[:, :-1]) <= slack[:, None]
+    jordan = np.zeros(n, dtype=bool)
+    for i in np.flatnonzero(close.any(axis=1)):
+        for idx in np.split(np.arange(4), np.flatnonzero(~close[i]) + 1):
+            if len(idx) > 1:
+                m = mu[i, idx].mean()
+                s = np.linalg.svd(M[i] - m.real * np.eye(4), compute_uv=False)
+                if s[4 - len(idx)] > slack[i]:
+                    jordan[i] = True
+                    mu[i, idx] = m
     mu = mu.real
-    t = np.sqrt(np.clip(mu[1:] / mu[0], 0.0, None))
-    if np.linalg.det(R) < 0:
-        t[0] = -t[0]
-    t1, t2, t3 = t
-    lam = np.array([1 + t1 - t2 + t3, 1 - t1 + t2 + t3,
-                    1 + t1 + t2 - t3, 1 - t1 - t2 - t3]) / 4.0
-    lam = np.clip(np.sort(lam)[::-1], 0.0, None)
-    return lam / lam.sum(), jordan
+    t = np.sqrt(np.maximum(mu[:, 1:] / mu[:, :1], 0.0))
+    np.negative(t[:, 0], out=t[:, 0], where=np.linalg.det(R) < 0)
+    lam = np.maximum(np.sort(1.0 + t @ _T_TO_LAM, axis=1)[:, ::-1] / 4.0, 0.0)
+    return lam / lam.sum(axis=1, keepdims=True), jordan
 
 
 def classify(rho, *, estimate_b=None, rng=None):
@@ -190,10 +203,10 @@ def classify(rho, *, estimate_b=None, rng=None):
     `estimate_b` and `rng` are accepted and ignored, for existing callers:
     b is exact and nothing is random.
     """
-    rho = _validate_state(rho)
-    if _is_ppt(rho):
+    stack, ppt = _states((rho,))
+    if ppt[0]:
         return NormalFormResult(kind="separable")
-    lam, jordan = _lorentz_normal_form(rho)
+    (lam,), (jordan,) = _lorentz_normal_forms(stack)
     if jordan:
         return NormalFormResult(kind="nd_class", weights=lam,
                                 b=float(lam[0] - lam[1]) / 2.0)
@@ -217,10 +230,9 @@ def can_convert_two_qubit(rho, rho_prime):
     """Full two-qubit SLOCC convertibility decision.
 
     Yes whenever the target is separable (discard and prepare); no when the
-    source is separable and the target entangled; otherwise the decision of
-    the Bell-diagonal representatives.
+    source is separable and the target entangled; only otherwise are both
+    reduced, in one pass, to the Bell-diagonal representatives that decide.
     """
-    src, dst = classify(rho), classify(rho_prime)
-    return _separable_endpoint(src.kind != "separable",
-                               dst.kind != "separable") \
-        or can_convert_bd(src.weights, dst.weights)
+    stack, ppt = _states((rho, rho_prime))
+    return _separable_endpoint(not ppt[0], not ppt[1]) \
+        or can_convert_bd(*_lorentz_normal_forms(stack)[0])

@@ -41,8 +41,8 @@ class Tolerances:
     equality    -- generic floating-point equality slack: weights sum to 1,
                    a trace is 1, a matrix is Hermitian for the state
                    validators, a replayed certificate reproduces its target,
-                   filtered marginals reach I/2, and the CLI's default --tol
-                   for off-diagonal Bell elements
+                   filtered marginals reach I/2, and off-diagonal Bell
+                   elements read by density_to_weights
     psd_slack   -- most negative eigenvalue still treated as >= 0; the Bell
                    weights of a correlation point are the eigenvalues of its
                    state, so it also bounds a weight read off a point

@@ -13,7 +13,7 @@ from slocc.bell import weights_to_coords, weights_to_density
 from slocc.choi import (apply_map_density, cj_rmatrix, cj_state,
                         channel_from_cj, kraus_for_vertex, map_action_bd,
                         quasi_reverse_map, rho_nd, rho_nd_prime)
-from slocc.cli import main as cli_main
+from slocc.cli import _random_ordered_entangled, main as cli_main
 from slocc.convert import (can_convert_bd, facet_inequalities,
                            lp_oracle_membership, monotones, plambda_vertices)
 from slocc.normal_form import classify, filter_iteration, is_ppt
@@ -31,14 +31,6 @@ def _report(num, label, ok, detail=""):
     print(f"[{status}] criterion {num}: {label}" + (f" ({detail})" if detail
                                                     else ""))
     assert ok, f"criterion {num} failed: {label} {detail}"
-
-
-def _random_ordered_entangled(rng, floor=0.5 + 1e-4):
-    lam = np.sort(rng.dirichlet(np.ones(4)))[::-1]
-    if lam[0] <= floor:
-        t = rng.uniform(floor, 1.0)
-        lam = np.concatenate(([t], lam[1:] * (1 - t) / lam[1:].sum()))
-    return lam
 
 
 def _facet_saturating_vertices(lam):
@@ -84,8 +76,9 @@ def _near_facet_pair(rng):
 def test_criterion_1_monotones_match_lp_oracle():
     rng = np.random.default_rng(2024)
     t0 = time.perf_counter()
-    pairs = [( _random_ordered_entangled(rng),
-               _random_ordered_entangled(rng)) for _ in range(9000)]
+    pairs = [(_random_ordered_entangled(rng, floor=0.5 + 1e-4),
+              _random_ordered_entangled(rng, floor=0.5 + 1e-4))
+             for _ in range(9000)]
     pairs += [_near_facet_pair(rng) for _ in range(1000)]
     mismatches = 0
     for lam, lam_p in pairs:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -5,16 +7,18 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import slocc.convert
-from slocc.bell import InvalidWeightsError
+from slocc.bell import InvalidWeightsError, weights_to_density
 from slocc.choi import map_action_bd
+from slocc.cli import _random_ordered_entangled
 from slocc.convert import (NotConvertibleError, NotEntangledError,
                            NotOrderedError, can_convert_bd,
                            facet_inequalities, lp_oracle_membership,
                            monotones, plambda_vertices, ratio_geq,
                            synthesize_map)
+from slocc.normal_form import can_convert_two_qubit
 from slocc.numerics import TOL
 from slocc.separability import ConvexDecomposition, is_separable, vertex_set
-from test_acceptance import _near_facet_pair, _random_ordered_entangled
+from test_acceptance import _near_facet_pair
 
 LAM = np.array([0.7, 0.1, 0.1, 0.1])
 LAM_P = np.array([0.6, 0.2, 0.1, 0.1])
@@ -77,10 +81,36 @@ def test_convert_e2_violation():
     assert not d.convertible and d.violated_monotone == "E2"
 
 
-@pytest.mark.parametrize("name, src, dst", [
+NO_PAIRS = [
     ("E1", LAM_P, LAM),
     ("E2", [0.6, 0.15, 0.15, 0.1], [0.6, 0.2, 0.1, 0.1]),
-    ("E3", [0.6, 0.2, 0.1, 0.1], [0.58, 0.22, 0.15, 0.05])])
+    ("E3", [0.6, 0.2, 0.1, 0.1], [0.58, 0.22, 0.15, 0.05])]
+
+
+def test_answers_without_a_map_are_shared_constants():
+    # a NO allocates nothing: two pairs that violate the same monotone get
+    # one frozen Decision, and each separable-endpoint rule has its own
+    others = {"E1": ([0.65, 0.2, 0.1, 0.05], [0.8, 0.1, 0.05, 0.05]),
+              "E2": ([0.7, 0.1, 0.1, 0.1], [0.7, 0.2, 0.05, 0.05]),
+              "E3": ([0.7, 0.15, 0.1, 0.05], [0.65, 0.2, 0.15, 0.0])}
+    for name, src, dst in NO_PAIRS:
+        first, second = can_convert_bd(src, dst), can_convert_bd(*others[name])
+        assert first.violated_monotone == name and first is second
+    ent, sep = weights_to_density(LAM), np.eye(4) / 4.0
+    assert can_convert_two_qubit(ent, sep) is slocc.convert._TARGET_SEPARABLE
+    assert can_convert_two_qubit(sep, ent) is slocc.convert._SOURCE_SEPARABLE
+    assert slocc.convert._separable_endpoint(True, True) is None
+    yes = can_convert_bd(LAM, LAM_P)
+    for decision in (first, can_convert_two_qubit(ent, sep), yes):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            decision.convertible = not decision.convertible
+    # a YES keeps its map as bytes: frozen all through, and comparable
+    with pytest.raises(ValueError, match="read-only"):
+        yes.rmatrix[0, 0] = 1.0
+    assert yes == can_convert_bd(LAM, LAM_P) and hash(yes) is not None
+
+
+@pytest.mark.parametrize("name, src, dst", NO_PAIRS)
 def test_synthesize_map_refuses_non_convertible_pair(name, src, dst):
     assert can_convert_bd(src, dst).violated_monotone == name
     with pytest.raises(NotConvertibleError):
@@ -136,8 +166,8 @@ def test_synthesized_map_lies_in_separable_cone():
     checked = 0
     while checked < 300:
         if checked % 3:
-            lam, lam_p = (_random_ordered_entangled(rng),
-                          _random_ordered_entangled(rng))
+            lam, lam_p = (_random_ordered_entangled(rng, floor=0.5 + 1e-4),
+                          _random_ordered_entangled(rng, floor=0.5 + 1e-4))
         else:
             lam, lam_p = _near_facet_pair(rng)
         if not can_convert_bd(lam, lam_p, with_map=False).convertible:

@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from slocc.bell import weights_to_density
 from slocc.choi import rho_nd, rho_nd_prime
+from slocc.convert import _separable_endpoint, can_convert_bd, monotones
 from slocc.normal_form import (InvalidStateError, SeparableInputError,
-                               bd_equivalent, can_convert_two_qubit, classify,
-                               concurrence, filter_iteration, is_ppt)
+                               _lorentz_normal_forms, _states, bd_equivalent,
+                               can_convert_two_qubit, classify, concurrence,
+                               filter_iteration, is_ppt)
 
 
 def _random_state(rng, rank=4):
@@ -42,6 +44,7 @@ def test_ppt_detects_bell_diagonal_entanglement():
 
 
 def _nan_pair_state():
+    # NaN off the diagonal only: the trace stays 1, the marginals I/2
     rho = np.eye(4, dtype=complex) / 4.0
     rho[0, 1] = rho[1, 0] = np.nan
     return rho
@@ -270,13 +273,6 @@ def test_validation():
         classify(np.diag([1.5, -0.5, 0.0, 0.0]))
 
 
-def _nan_pair_state():
-    # NaN off the diagonal only: the trace stays 1, the marginals I/2
-    rho = np.eye(4, dtype=complex) / 4.0
-    rho[0, 1] = rho[1, 0] = np.nan
-    return rho
-
-
 def test_classify_rejects_nan():
     with pytest.raises(InvalidStateError):
         classify(_nan_pair_state())
@@ -288,6 +284,32 @@ def test_can_convert_two_qubit_rejects_nan():
         can_convert_two_qubit(_nan_pair_state(), good)
     with pytest.raises(InvalidStateError):
         can_convert_two_qubit(good, _nan_pair_state())
+
+
+@pytest.mark.parametrize("bad, message", [
+    (np.eye(3) / 3.0, "expected a 4x4 Hermitian matrix"),
+    ([[0.5, 0.0], [0.5]], "expected a 4x4 Hermitian matrix"),
+    (_nan_pair_state(), "non-finite entry"),
+    (np.eye(4), "trace 4.0, expected 1"),
+    (np.diag([1.5, -0.5, 0.0, 0.0]), "not positive semidefinite")],
+    ids=["3x3", "ragged", "nan", "trace", "not-psd"])
+def test_pair_rejects_a_bad_source_or_target(bad, message):
+    # never numpy's ValueError from stacking a 3x3 or ragged state
+    good = weights_to_density([0.6, 0.2, 0.1, 0.1])
+    for pair in ((bad, good), (good, bad), (np.eye(4) / 4.0, bad)):
+        with pytest.raises(InvalidStateError, match=message):
+            can_convert_two_qubit(*pair)
+
+
+def test_pair_of_bad_states_raises_the_source_error():
+    states = {"expected a 4x4 Hermitian matrix": np.eye(3) / 3.0,
+              "non-finite entry": _nan_pair_state(),
+              "trace 4.0, expected 1": np.eye(4),
+              "not positive semidefinite": np.diag([1.5, -0.5, 0.0, 0.0])}
+    for message, src in states.items():
+        for dst in states.values():
+            with pytest.raises(InvalidStateError, match=message):
+                can_convert_two_qubit(src, dst)
 
 
 def test_filter_iteration_rejects_nan():
@@ -330,3 +352,83 @@ def test_bd_equivalent_filter_invariant_and_matches_oracle(weights, F, G):
     if oracle.converged:
         back = np.sort(np.linalg.eigvalsh(oracle.state))[::-1]
         assert np.abs(got - back).max() <= 1e-8
+
+
+def _pair_pool(rng):
+    """Filtered Bell-diagonal, entangled and PPT Ginibre, and rho_nd(b)
+    images under local unitaries and filters."""
+    states = []
+    for lam in ([0.7, 0.2, 0.07, 0.03], [0.55, 0.3, 0.1, 0.05],
+                [0.9, 0.05, 0.03, 0.02], [0.6, 0.4, 0.0, 0.0]):
+        F, G = _random_filter(rng, 5.0), _random_filter(rng, 5.0)
+        states.append(_twist(weights_to_density(rng.permutation(lam)), F, G))
+    kinds = {"separable": 0, "bell_diagonal": 0}
+    while min(kinds.values()) < 4:
+        rho = _random_state(rng, rank=int(rng.integers(2, 5)))
+        kind = classify(rho).kind
+        if kinds[kind] < 4:
+            kinds[kind] += 1
+            states.append(rho)
+    for b in (0.1, 0.3):
+        states.append(_twist(rho_nd(b), _random_unitary(rng),
+                             _random_unitary(rng)))
+        states.append(_twist(rho_nd(b), _random_filter(rng, 3.0),
+                             _random_filter(rng, 3.0)))
+    return states
+
+
+def _answer(decision):
+    return (decision.convertible, decision.reason, decision.violated_monotone)
+
+
+def test_pair_decision_matches_classify_of_each_state():
+    states = _pair_pool(np.random.default_rng(71))
+    results = [classify(rho) for rho in states]
+    assert {r.kind for r in results} == {"separable", "bell_diagonal",
+                                         "nd_class"}
+    for src, rho in zip(results, states):
+        for dst, rho_p in zip(results, states):
+            want = _separable_endpoint(src.kind != "separable",
+                                       dst.kind != "separable") \
+                or can_convert_bd(src.weights, dst.weights)
+            assert _answer(can_convert_two_qubit(rho, rho_p)) == _answer(want)
+
+
+def test_stacked_normal_form_rows_match_classify():
+    # a row of the stacked pass is the same bits as the state on its own, so
+    # a pair and its two classify calls never disagree on a tie
+    states = _pair_pool(np.random.default_rng(72))
+    stack, ppt = _states(states)
+    entangled = stack[~ppt]
+    lam, jordan = _lorentz_normal_forms(entangled)
+    for k, rho in enumerate(states):
+        res = classify(rho)
+        assert (res.kind == "separable") == ppt[k]
+    for k, rho in enumerate(entangled):
+        res = classify(rho)
+        assert res.kind == ("nd_class" if jordan[k] else "bell_diagonal")
+        assert np.array_equal(res.weights, lam[k])
+        assert res.b is None or res.b == float(lam[k, 0] - lam[k, 1]) / 2.0
+    for rho in states:
+        assert can_convert_two_qubit(rho, rho).convertible
+
+
+def _margins(lam, lam_p):
+    """Signed slack of each monotone of lam -> lam' (>= 0 on a YES)."""
+    m, m_p = monotones(lam), monotones(lam_p)
+    return (m.e1 - m_p.e1, m.e2[0] * m_p.e2[1] - m_p.e2[0] * m.e2[1],
+            m.e3[0] * m_p.e3[1] - m_p.e3[0] * m.e3[1])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_entangled_weights(), _entangled_weights(), _filters(), _filters(),
+       _filters(), _filters())
+def test_pair_decision_filter_invariant(source, target, F, G, F_p, G_p):
+    # the pair decision sees only the SLOCC classes of rho and rho'; pairs
+    # within rounding of a facet of P_lam are left to the boundary policy
+    (lam, labels), (lam_p, labels_p) = source, target
+    assume(min(abs(x) for x in _margins(lam, lam_p)) > 1e-8)
+    rho = _twist(weights_to_density(lam[list(labels)]), F, G)
+    rho_p = _twist(weights_to_density(lam_p[list(labels_p)]), F_p, G_p)
+    want = can_convert_bd(lam, lam_p, with_map=False)
+    assert _answer(can_convert_two_qubit(rho, rho_p)) == _answer(want)
