@@ -73,12 +73,10 @@ def validate_weights(lam):
 
 
 def weights_to_density(lam):
-    """Bell-diagonal density matrix sum_i lam_i |Phi_i><Phi_i|."""
-    lam = validate_weights(lam)
-    rho = np.zeros((4, 4), dtype=complex)
-    for li, proj in zip(lam, BELL_PROJECTORS):
-        rho += li * proj
-    return rho
+    """Bell-diagonal density matrix sum_i lam_i |Phi_i><Phi_i|: the inverse
+    of density_to_weights' basis change."""
+    U = BELL_VECTORS.T  # columns are Bell vectors
+    return (U * validate_weights(lam)) @ U.conj().T
 
 
 def density_to_weights(rho):

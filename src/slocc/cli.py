@@ -30,7 +30,7 @@ from .choi import apply_map_density, map_action_bd, quasi_reverse_map, rho_nd, \
     rho_nd_prime
 from .convert import (_separable_endpoint, can_convert_bd,
                       lp_oracle_membership, monotones)
-from .normal_form import classify
+from .normal_form import _states, classify
 from .numerics import TOL, NumericsError, convex_membership
 from .separability import (CANONICAL_WITNESSES, ConvexDecomposition,
                            ViolatedWitness, _vertex_array, is_separable,
@@ -86,12 +86,14 @@ def _array(obj, shape, where):
 
 
 # kind: (field, shape read, check of the array read); a density entry is a
-# [re, im] pair, viewed bit for bit as one complex number
+# [re, im] pair, viewed bit for bit as one complex number, and the density
+# must be a state: Hermitian, of unit trace and PSD
 _KINDS = {
     "weights": ("lambda", (4,),
                 lambda a: np.clip(validate_weights(a), 0.0, None)),
     "rmatrix": ("r", (4, 4), validate_rmatrix),
-    "density": ("matrix", (4, 4, 2), lambda a: a.view(complex)[..., 0]),
+    "density": ("matrix", (4, 4, 2),
+                lambda a: _states((a.view(complex)[..., 0],))[0][0]),
 }
 
 
@@ -248,10 +250,7 @@ def cmd_normal_form(args):
     kind, payload = parse_state_file(args.state)
     if kind != "density":
         raise InputError(f"{args.state}: 'normal-form' expects kind 'density'")
-    try:
-        result = classify(payload)
-    except NumericsError as exc:
-        raise InputError(f"{args.state}: {exc}") from exc
+    result = classify(payload)
     if result.kind == "separable":
         _emit(args, ["class: Separable"], {"class": "Separable"})
     elif result.kind == "bell_diagonal":

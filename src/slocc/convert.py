@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -168,31 +167,24 @@ _SUBSETS = np.array(list(itertools.combinations(range(9), 4)))
 _LIFTED = np.column_stack((np.ones(9), [1.0] * 6 + [0.0] * 3, np.zeros((9, 2))))
 
 
-@lru_cache(maxsize=1)
-def _generating_maps():
-    """The nine generating r-matrices, each an element of vertex_set().
-
-    A tail permutation is a row permutation of D0; half-half map i is G0
-    with the second row of its block moved to row i.  Neither depends on
-    lam.
-    """
-    # vec_i = lam[perm[i]]: weight moves from Bell perm[i] to Bell i; the
-    # block of half-half map i prepares (Phi_1 + Phi_{i+1})/2
-    return tuple([D0[perm] for perm in _TAIL_PERMS]
-                 + [G0[[0] + [1 if k == i else 2 for k in (1, 2, 3)]]
-                    for i in (1, 2, 3)])
+# the nine generating r-matrices, each an element of vertex_set(), in the
+# order of the labelled vertices.  Tail permutation perm is D0[perm]
+# (vec_i = lam[perm[i]]: weight moves from Bell perm[i] to Bell i); half-half
+# map i is G0 with the second row of its block moved to row i, preparing
+# (Phi_1 + Phi_{i+1})/2.  Neither depends on lam.
+_GENERATORS = np.array([D0[perm] for perm in _TAIL_PERMS]
+                       + [G0[[0] + [1 if k == i else 2 for k in (1, 2, 3)]]
+                          for i in (1, 2, 3)])
+_GENERATORS.setflags(write=False)
 
 
 def _labelled_vertices(lam):
-    """The nine vertices of P_lam as rows, row k the normalized image of lam
-    under _generating_maps()[k], and their success weights sum(r_k lam)."""
-    verts = np.zeros((9, 4))
-    verts[:6] = lam[_TAIL_PERMS]
-    verts[6:, 0] = 0.5
-    verts[6:, 1:] = 0.5 * np.eye(3)
-    success = np.full(9, 0.25)
-    success[6:] = (lam[0] + lam[1]) / 2.0
-    return verts, success
+    """The nine vertices of P_lam as rows, row k the image of lam under
+    _GENERATORS[k] divided by its sum, and those sums: the success
+    weights."""
+    images = (_GENERATORS.reshape(36, 4) @ lam).reshape(9, 4)
+    success = images.sum(axis=1)
+    return images / success[:, None], success
 
 
 def plambda_vertices(lam):
@@ -309,11 +301,9 @@ def synthesize_map(lam, lam_prime):
 
 def _synthesize_map(lam, lam_prime):
     verts, success = _labelled_vertices(lam)
-    maps = _generating_maps()
-    r_total = np.zeros((4, 4))
-    for k, c in zip(*_caratheodory(verts, lam, lam_prime)):
-        if c > TOL.negligible:
-            r_total += (c / success[k]) * maps[k]
+    subset, c = _caratheodory(verts, lam, lam_prime)
+    w = np.where(c > TOL.negligible, c / success[subset], 0.0)
+    r_total = (w @ _GENERATORS.reshape(9, 16)[subset]).reshape(4, 4)
     # self-check: the action reproduces the target
     image = r_total @ lam
     image = image / image.sum()

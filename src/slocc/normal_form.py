@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bell import PAULI_Y, PAULIS
+from .bell import BELL_COORDS, PAULI_Y, PAULIS
 from .convert import _separable_endpoint, can_convert_bd
 from .numerics import TOL, InvalidStateError, NumericsError, partial_trace
 
@@ -37,8 +37,6 @@ _YY = np.kron(PAULI_Y, PAULI_Y)
 _PAULI_TABLE = np.array([[np.kron(a, b).T.ravel() for b in PAULIS]
                          for a in PAULIS]).reshape(16, 16).T
 _ETA_ETA = np.outer([1.0, -1.0, -1.0, -1.0], [1.0, -1.0, -1.0, -1.0])
-# 1 + t @ _T_TO_LAM is 4 lam, in Bell order, for correlations t
-_T_TO_LAM = np.array([[1, -1, 1, -1], [-1, 1, 1, -1], [1, 1, -1, -1]], float)
 
 
 def concurrence(rho):
@@ -189,7 +187,9 @@ def _lorentz_normal_forms(rhos):
     mu = mu.real
     t = np.sqrt(np.maximum(mu[:, 1:] / mu[:, :1], 0.0))
     np.negative(t[:, 0], out=t[:, 0], where=np.linalg.det(R) < 0)
-    lam = np.maximum(np.sort(1.0 + t @ _T_TO_LAM, axis=1)[:, ::-1] / 4.0, 0.0)
+    # correlations t are the negated coordinates of bell.BELL_COORDS
+    lam = np.maximum(np.sort(1.0 - t @ BELL_COORDS.T, axis=1)[:, ::-1] / 4.0,
+                     0.0)
     return lam / lam.sum(axis=1, keepdims=True), jordan
 
 

@@ -147,8 +147,7 @@ def _orbit(name, transposed):
 @lru_cache(maxsize=1)
 def vertex_set():
     """The 60 polytope vertices: S4 x S4 orbits of D0 (24) and G0 (36), each
-    in _orbit's order (first occurrence in lexicographic (rp, cp) order), D0
-    before G0."""
+    in _orbit's order, D0 before G0."""
     return tuple(_vertex_array().reshape(-1, 4, 4))
 
 
@@ -187,12 +186,11 @@ def witness_orbit():
     The vertex set is closed under transposition, so a transposed witness is
     as valid as its original; W0 and W1 need none (their orbits already are).
     Scan order is cheapest-first: W0 (positivity), W1 (PPT), then W2..W4,
-    then the transposed W2..W4, each family's orbit in _orbit's order (first
-    occurrence in lexicographic (rp, cp) order).  Every witness is a facet:
-    its zero set on the vertices has affine rank 15.  The W0 rows never
-    report a violation (validate_rmatrix rejects a negative entry first), but
-    their facets r_ij = 0 are ones the facet walk of is_separable needs to
-    reach a vertex.
+    then the transposed W2..W4, each family's orbit in _orbit's order.
+    Every witness is a facet: its zero set on the vertices has affine rank
+    15.  The W0 rows never report a violation (validate_rmatrix rejects a
+    negative entry first), but their facets r_ij = 0 are ones the facet walk
+    of is_separable needs to reach a vertex.
     """
     return tuple(Witness(matrix=w, family=family, row_perm=rp, col_perm=cp,
                          transposed=transposed)
@@ -393,13 +391,9 @@ def z2_certificate_matrix():
 
 def symmetric_subspace_projector(d=4):
     """Projector onto the symmetric subspace of C^d x C^d (rank d(d+1)/2)."""
-    P = np.zeros((d * d, d * d))
-    eye = np.eye(d)
-    for i in range(d):
-        for j in range(d):
-            sym = (np.kron(eye[i], eye[j]) + np.kron(eye[j], eye[i])) / 2.0
-            P += np.outer(np.kron(eye[i], eye[j]), sym)
-    return P
+    eye = np.eye(d * d)
+    swap = eye.reshape(d, d, d, d).transpose(1, 0, 2, 3).reshape(d * d, d * d)
+    return (eye + swap) / 2.0
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,10 @@
 """4x4 r-matrix representation of Pauli-symmetric four-qubit operators.
 
 A four-qubit operator invariant under U x U x V x V (U, V in the Pauli group)
-is a combination sum_ij M[i,j] Pi_i (x) Pi_j of tensored Bell projectors; the
-4x4 real matrix M is its compact representation.
+is a combination sum_ij M[i,j] Pi_i (x) Pi_j of tensored Bell projectors, so
+it is diagonal in the product Bell basis Phi_i (x) Phi_j: the 4x4 real
+r-matrix M, read as that diagonal, and the 16x16 operator differ by one basis
+change.
 
 Two qubit orderings for the assembled 16x16 matrix:
 
@@ -18,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .bell import BELL_PROJECTORS, PAULI_I, PAULI_X, PAULI_Z
+from .bell import BELL_VECTORS, PAULI_I, PAULI_X, PAULI_Z
 from .numerics import NonHermitianError, NumericsError, is_hermitian
 
 
@@ -31,44 +33,28 @@ class UnsupportedPairError(NumericsError):
     pass
 
 
-def _qubit_permutation_matrix(source_of):
-    """Permutation on C^16 sending qubit source_of[k] to slot k (big-endian)."""
-    n = len(source_of)
-    dim = 2 ** n
-    P = np.zeros((dim, dim))
-    for idx in range(dim):
-        bits = [(idx >> (n - 1 - k)) & 1 for k in range(n)]
-        new = sum(bits[source_of[k]] << (n - 1 - k) for k in range(n))
-        P[new, idx] = 1.0
-    return P
+# row 4 i + j is Phi_i (x) Phi_j in PAPER ordering
+_BELL_PAIRS = np.kron(BELL_VECTORS, BELL_VECTORS)
 
-
-# PAPER (A',B',A'',B'') -> CUT (A',A'',B',B'')
-PAPER_TO_CUT = _qubit_permutation_matrix([0, 2, 1, 3])
+# PAPER (A',B',A'',B'') -> CUT (A',A'',B',B'') swaps the middle two qubits:
+# an index permutation that is its own inverse
+_SWAP_MIDDLE = np.arange(16).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).ravel()
+PAPER_TO_CUT = np.eye(16)[_SWAP_MIDDLE]
 PAPER_TO_CUT.setflags(write=False)
-
-_TENSORED_PROJECTORS = tuple(
-    tuple(np.kron(BELL_PROJECTORS[i], BELL_PROJECTORS[j]) for j in range(4))
-    for i in range(4))
 
 
 def reorder(rho, src: QubitOrdering, dst: QubitOrdering):
     """Conjugate a 16x16 matrix by the qubit-reordering permutation."""
+    rho = np.asarray(rho, dtype=complex)
     if src == dst:
-        return np.asarray(rho, dtype=complex)
-    if src == QubitOrdering.PAPER:
-        return PAPER_TO_CUT @ rho @ PAPER_TO_CUT.T
-    return PAPER_TO_CUT.T @ rho @ PAPER_TO_CUT
+        return rho
+    return rho[np.ix_(_SWAP_MIDDLE, _SWAP_MIDDLE)]
 
 
 def assemble(M, ordering=QubitOrdering.PAPER):
     """16x16 matrix sum_ij M[i,j] Pi_i (x) Pi_j in the requested ordering."""
     M = np.asarray(M, dtype=float)
-    out = np.zeros((16, 16), dtype=complex)
-    for i in range(4):
-        for j in range(4):
-            if M[i, j] != 0.0:
-                out += M[i, j] * _TENSORED_PROJECTORS[i][j]
+    out = (_BELL_PAIRS.T * M.ravel()) @ _BELL_PAIRS.conj()
     return reorder(out, QubitOrdering.PAPER, ordering)
 
 
@@ -82,11 +68,9 @@ def project_to_commutant(rho, ordering=QubitOrdering.PAPER):
     if not is_hermitian(rho):
         raise NonHermitianError("input to project_to_commutant not Hermitian")
     rho = reorder(rho, ordering, QubitOrdering.PAPER)
-    r = np.empty((4, 4))
-    for i in range(4):
-        for j in range(4):
-            r[i, j] = np.real(np.trace(rho @ _TENSORED_PROJECTORS[i][j]))
-    return r
+    # the diagonal of rho in the product Bell basis
+    return np.einsum("ka,ab,kb->k", _BELL_PAIRS.conj(), rho,
+                     _BELL_PAIRS).real.reshape(4, 4)
 
 
 # Bell-swap unitaries: product operators (one factor per qubit of a Bell

@@ -33,7 +33,10 @@ def test_weights_density_round_trip():
     rng = np.random.default_rng(11)
     for _ in range(20):
         lam = rng.dirichlet(np.ones(4))
-        back = density_to_weights(weights_to_density(lam))
+        rho = weights_to_density(lam)
+        direct = sum(li * proj for li, proj in zip(lam, BELL_PROJECTORS))
+        assert np.abs(rho - direct).max() < 1e-14
+        back = density_to_weights(rho)
         assert np.abs(back - lam).max() < 1e-14
 
 

@@ -116,6 +116,35 @@ def test_density_off_bell_diagonal_exit_2(worked_pair, tmp_path, capsys):
             f"error: {f}: off-diagonal Bell element 1.000e-03")
 
 
+# trace 1 with Hermiticity defect 0.2
+_NON_HERMITIAN = [[[0.4, 0.1], [0, 0], [0, 0], [0.3, 0.1]],
+                  [[0, 0], [0.1, -0.1], [0, 0.1], [0, 0]],
+                  [[0, 0], [0, 0.1], [0.1, -0.1], [0, 0]],
+                  [[0.3, 0.1], [0, 0], [0, 0], [0.4, 0.1]]]
+
+
+@pytest.mark.parametrize("matrix, message", [
+    (_NON_HERMITIAN, "expected a 4x4 Hermitian matrix"),
+    (2.0 * np.diag([0.7, 0.1, 0.1, 0.1]), "trace 2.0, expected 1"),
+    (np.diag([1.2, -0.2, 0.0, 0.0]), "state is not positive semidefinite"),
+], ids=["non-hermitian", "trace-2", "non-psd"])
+def test_invalid_density_exit_2(worked_pair, tmp_path, capsys, matrix,
+                                message):
+    # every subcommand that reads a density validates it as a state first
+    if isinstance(matrix, np.ndarray):
+        f = _density_file(tmp_path, "bad.json", matrix)
+    else:
+        f = _write(tmp_path, "bad.json", {"kind": "density", "matrix": matrix})
+    src, _ = worked_pair
+    g0 = _write(tmp_path, "g0.json", {"kind": "rmatrix", "r": G0.tolist()})
+    for argv in (["monotones", f], ["convert", src, f], ["convert", f, src],
+                 ["apply-map", g0, f], ["normal-form", f]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {f}: {message}")
+
+
 def test_separable_d0(tmp_path, capsys):
     f = _write(tmp_path, "d0.json",
                {"kind": "rmatrix", "r": np.diag([0.25] * 4).tolist()})

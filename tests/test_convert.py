@@ -201,10 +201,24 @@ def test_generating_maps_are_separable_vertices():
     # a YES map is a nonnegative combination of these nine, so each being an
     # element of vertex_set() is its separability certificate
     vertices = {v.tobytes() for v in vertex_set()}
-    maps = slocc.convert._generating_maps()
-    assert len(maps) == 9
+    maps = slocc.convert._GENERATORS
+    assert maps.shape == (9, 4, 4) and not maps.flags.writeable
     for r in maps:
-        assert r.shape == (4, 4) and r.tobytes() in vertices
+        assert r.tobytes() in vertices
+    # their images of lam are the vertices of P_lam: the tail permutations
+    # lam[perm] with success weight 1/4, and (e_1 + e_i)/2 with success
+    # weight (lam_1 + lam_2)/2
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        lam = _random_ordered_entangled(rng)
+        verts, success = slocc.convert._labelled_vertices(lam)
+        half = np.zeros((3, 4))
+        half[:, 0] = 0.5
+        half[:, 1:] = 0.5 * np.eye(3)
+        assert np.abs(verts - np.vstack((lam[slocc.convert._TAIL_PERMS],
+                                         half))).max() <= 4e-16
+        expected = np.array([0.25] * 6 + [(lam[0] + lam[1]) / 2.0] * 3)
+        assert np.abs(success - expected).max() <= 4e-16
 
 
 @pytest.mark.parametrize("t", [5e-10, 2e-10, 1e-10, 2e-11])

@@ -20,21 +20,47 @@ def test_reorder_round_trip():
 
 
 def test_reorder_moves_qubits():
-    # basis state |0110> (A'=0, B'=1, A''=1, B''=0) becomes |0110> in CUT
-    # ordering read as (A'=0, A''=1, B'=1, B''=0)
-    ket = np.zeros(16)
-    ket[0b0110] = 1.0
-    rho = np.outer(ket, ket)
-    moved = reorder(rho, QubitOrdering.PAPER, QubitOrdering.CUT)
-    idx = np.argmax(np.diag(moved).real)
-    assert idx == 0b0110  # A'=0, A''=1, B'=1, B''=0
+    # basis state |a' b' a'' b''> in PAPER ordering is |a' a'' b' b''> in CUT
+    # ordering; the eight with b' != a'' move
+    moved = 0
+    for a1, b1, a2, b2 in itertools.product((0, 1), repeat=4):
+        paper = 8 * a1 + 4 * b1 + 2 * a2 + b2
+        cut = 8 * a1 + 4 * a2 + 2 * b1 + b2
+        rho = np.zeros((16, 16))
+        rho[paper, paper] = 1.0
+        expected = np.zeros((16, 16))
+        expected[cut, cut] = 1.0
+        assert np.array_equal(
+            reorder(rho, QubitOrdering.PAPER, QubitOrdering.CUT), expected)
+        moved += cut != paper
+    assert moved == 8
+
+
+def _tensored_projectors(ordering):
+    """Pi_i (x) Pi_j from their definition, reordered to `ordering`."""
+    return [[reorder(np.kron(BELL_PROJECTORS[i], BELL_PROJECTORS[j]),
+                     QubitOrdering.PAPER, ordering) for j in range(4)]
+            for i in range(4)]
 
 
 def test_assemble_project_round_trip():
+    # against the definitions sum_ij M_ij Pi_i (x) Pi_j and
+    # tr[rho (Pi_i (x) Pi_j)]: a transposed assemble paired with a transposed
+    # project_to_commutant would still round-trip
     rng = np.random.default_rng(22)
     for ordering in QubitOrdering:
+        proj = _tensored_projectors(ordering)
         M = rng.dirichlet(np.ones(16)).reshape(4, 4)
-        r = project_to_commutant(assemble(M, ordering), ordering)
+        rho = assemble(M, ordering)
+        direct = sum(M[i, j] * proj[i][j] for i in range(4) for j in range(4))
+        assert np.abs(rho - direct).max() < 1e-14
+        A = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+        sigma = A @ A.conj().T / 64.0
+        traces = [[np.trace(sigma @ proj[i][j]).real for j in range(4)]
+                  for i in range(4)]
+        assert np.abs(project_to_commutant(sigma, ordering)
+                      - traces).max() < 1e-14
+        r = project_to_commutant(rho, ordering)
         assert np.abs(r - M).max() < 1e-12
 
 
