@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bell import PAULIS, validate_weights
-from .numerics import TOL, NumericsError, kron, partial_trace
+from .numerics import (TOL, InvalidStateError, NumericsError, kron,
+                       partial_trace)
 from .separability import _vertex_origin
 from .symmetric import (QubitOrdering, bell_permutation_factors,
                         project_to_commutant, reorder)
@@ -31,6 +32,19 @@ class NotAVertexError(NumericsError):
 
 class BOutOfRangeError(NumericsError):
     pass
+
+
+def _success_weight(total, source, annihilated):
+    """float(total) once it is finite and at least TOL.negligible; otherwise
+    InvalidStateError naming the non-finite `source`, or AnnihilatedError
+    with the message `annihilated`."""
+    total = float(total)
+    # negated comparison, so a NaN total fails it
+    if not TOL.negligible <= total < np.inf:
+        if np.isfinite(total):
+            raise AnnihilatedError(annihilated)
+        raise InvalidStateError(f"non-finite {source}: success weight {total}")
+    return total
 
 
 @dataclass
@@ -65,9 +79,8 @@ def apply_map_density(sep_map, rho):
     sigma = np.zeros_like(rho)
     for K in sep_map.combined():
         sigma += K @ rho @ K.conj().T
-    weight = float(np.real(np.trace(sigma)))
-    if weight < TOL.negligible:
-        raise AnnihilatedError("map annihilates the input state")
+    weight = _success_weight(np.real(np.trace(sigma)), "state or map",
+                             "map annihilates the input state")
     return sigma / weight, weight
 
 
@@ -79,9 +92,8 @@ def map_action_bd(r, lam):
     r = np.asarray(r, dtype=float)
     lam = validate_weights(lam)
     v = r @ lam
-    weight = float(v.sum())
-    if weight < TOL.negligible:
-        raise AnnihilatedError("r-matrix annihilates these weights")
+    weight = _success_weight(v.sum(), "r-matrix",
+                             "r-matrix annihilates these weights")
     return v / weight, weight
 
 
@@ -108,9 +120,8 @@ def cj_state(sep_map):
 def cj_rmatrix(sep_map):
     """Commutant projection of the dual state; normalized to unit mass."""
     r = project_to_commutant(cj_state(sep_map), QubitOrdering.CUT)
-    total = r.sum()
-    if total < TOL.negligible:
-        raise AnnihilatedError("dual state has zero symmetric component")
+    total = _success_weight(r.sum(), "Kraus operator",
+                            "dual state has zero symmetric component")
     return r / total
 
 

@@ -209,16 +209,17 @@ def cmd_separable(args):
     if isinstance(cert, ConvexDecomposition):
         idx = np.frombuffer(cert.support, dtype=np.uint8)
         coef = np.frombuffer(cert.coefficients)
+        # the printed certificate: rounding dust of at most TOL.tie dropped
+        support = [(int(i), float(c)) for i, c in zip(idx, coef)
+                   if c > TOL.tie]
         verts = _vertex_array()
-        # summed in the certificate's ascending support order
-        recon = sum(c * verts[i] for i, c in zip(idx, coef))
+        # rebuilt from the printed weights alone, in ascending vertex order
+        recon = sum(w * verts[i] for i, w in support)
         dev = float(np.abs(recon - payload.ravel()).max())
         if dev > TOL.solver:
             print(f"internal error: decomposition deviation {dev:.3e}",
                   file=sys.stderr)
             return EXIT_ERROR
-        support = [(int(i), float(c)) for i, c in zip(idx, coef)
-                   if c > TOL.tie]
         lines = ["SEPARABLE",
                  f"decomposition deviation: {_fmt(dev)}"]
         lines += [f"vertex {i}: weight {_fmt(w)}" for i, w in support]

@@ -187,10 +187,12 @@ def witness_orbit():
     as valid as its original; W0 and W1 need none (their orbits already are).
     Scan order is cheapest-first: W0 (positivity), W1 (PPT), then W2..W4,
     then the transposed W2..W4, each family's orbit in _orbit's order.
-    Every witness is a facet: its zero set on the vertices has affine rank
-    15.  The W0 rows never report a violation (validate_rmatrix rejects a
-    negative entry first), but their facets r_ij = 0 are ones the facet walk
-    of is_separable needs to reach a vertex.
+    is_separable scans in two stages: the 32 leading W0 and W1 witnesses
+    first, and all 1280 only when none of those is violated.  Every witness
+    is a facet: its zero set on the vertices has affine rank 15.  The W0
+    rows never report a violation (validate_rmatrix rejects a negative entry
+    first), but their facets r_ij = 0 are ones the facet walk of
+    is_separable needs to reach a vertex.
     """
     return tuple(Witness(matrix=w, family=family, row_perm=rp, col_perm=cp,
                          transposed=transposed)
@@ -208,6 +210,14 @@ def _witness_stack():
     return out
 
 
+@lru_cache(maxsize=1)
+def _leading_stack():
+    """The W0 and W1 rows of _witness_stack(), the first in scan order: a
+    read-only (32, 16) view."""
+    n = sum(len(_orbit(family, False)[0]) for family in ("W0", "W1"))
+    return _witness_stack()[:n]
+
+
 def witness_value(witness, r):
     """<W, r> = sum_ij W[i,j] r[i,j]; equals tr of the assembled operators."""
     W = witness.matrix if isinstance(witness, Witness) else np.asarray(witness)
@@ -215,7 +225,7 @@ def witness_value(witness, r):
 
 
 def min_witness_values(r):
-    """Per-orbit values, vectorized; useful for bulk scans."""
+    """All 1280 values <W, r>, in witness_orbit() order, as one array."""
     return _witness_stack() @ np.asarray(r, dtype=float).ravel()
 
 
@@ -296,7 +306,11 @@ def is_separable(r):
 
     The witness orbit cuts out the separable polytope, so the scan decides.
     A value below -TOL.witness returns the first violated witness in scan
-    order as a ViolatedWitness.  Otherwise the facet walk (_facet_walk)
+    order as a ViolatedWitness.  The scan runs in two stages: the 32
+    leading W0 and W1 witnesses (positivity and PPT), which refute most
+    entangled r, and then, only if they all hold, the full 1280, whose
+    values the walk needs.  Either stage's first violation is the first of
+    the full scan.  Otherwise the facet walk (_facet_walk)
     decomposes r over the 60 vertices and the ConvexDecomposition is
     returned once its weights rebuild r within TOL.solver.  Neither answer
     solves an LP.  InternalInconsistencyError is raised, as a bug, if the
@@ -304,12 +318,13 @@ def is_separable(r):
     than TOL.solver.
     """
     r = validate_rmatrix(r)
-    vals = min_witness_values(r)
-    # the first violation in scan order, not the deepest
-    first = int(np.argmax(vals < -TOL.witness))
-    if vals[first] < -TOL.witness:
-        return ViolatedWitness(witness=witness_orbit()[first],
-                               value=float(vals[first]))
+    for stack in (_leading_stack(), _witness_stack()):
+        vals = stack @ r.ravel()
+        # the first violation in scan order, not the deepest
+        first = int(np.argmax(vals < -TOL.witness))
+        if vals[first] < -TOL.witness:
+            return ViolatedWitness(witness=witness_orbit()[first],
+                                   value=float(vals[first]))
     weights = _facet_walk(r, vals)
     miss = float(np.abs(weights @ _vertex_array() - r.ravel()).max())
     if miss > TOL.solver:

@@ -6,6 +6,7 @@ from slocc.choi import (AnnihilatedError, BOutOfRangeError, NotAVertexError,
                         SeparableMap, apply_map_density, channel_from_cj,
                         cj_rmatrix, cj_state, kraus_for_vertex, map_action_bd,
                         quasi_reverse_map, rho_nd, rho_nd_prime)
+from slocc.numerics import InvalidStateError, NumericsError
 from slocc.separability import D0, G0, vertex_set
 from slocc.symmetric import QubitOrdering
 
@@ -33,6 +34,13 @@ def test_apply_map_annihilation():
     rho = np.kron(np.outer(ket, ket), np.eye(2) / 2)
     with pytest.raises(AnnihilatedError):
         apply_map_density(m, rho)
+    # a NaN success weight is refused, not returned
+    with pytest.raises(InvalidStateError, match="non-finite r-matrix"):
+        map_action_bd(np.full((4, 4), np.nan), [0.7, 0.1, 0.1, 0.1])
+    with pytest.raises(InvalidStateError, match="non-finite state"):
+        apply_map_density(m, np.full((4, 4), np.nan))
+    with pytest.raises(NumericsError):
+        cj_rmatrix(SeparableMap(kraus=[(np.full((2, 2), np.nan), P)]))
 
 
 def test_map_action_bd_examples():

@@ -10,7 +10,9 @@ import slocc
 from slocc.bell import BELL_VECTORS
 from slocc.choi import rho_nd
 from slocc.cli import _selfcheck_items, main
-from slocc.separability import CANONICAL_WITNESSES, D0, G0, vertex_set
+from slocc.numerics import TOL
+from slocc.separability import (CANONICAL_WITNESSES, D0, G0, is_separable,
+                                vertex_set)
 
 
 def _write(tmp_path, name, obj):
@@ -193,6 +195,29 @@ def test_separable_transposed_witness(tmp_path, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["family"] == "W2" and data["transposed"] is True
     assert data["value"] < 0
+
+
+def test_separable_deviation_is_that_of_the_printed_weights(tmp_path,
+                                                            capsys):
+    # the facet walk leaves weights of rounding dust on this mixture of five
+    # vertices; the certificate drops them, so the deviation it prints must
+    # be the one of the weights it prints
+    r = np.array([[0.0, 0.04, 0.1, 0.0], [0.06, 0.02, 0.09, 0.19],
+                  [0.08, 0.08, 0.05, 0.15000000000000002],
+                  [0.12, 0.0, 0.0, 0.02]])
+    assert np.frombuffer(is_separable(r).coefficients).min() <= TOL.tie
+    f = _write(tmp_path, "dust.json", {"kind": "rmatrix", "r": r.tolist()})
+    assert main(["--json", "separable", f]) == 0
+    data = json.loads(capsys.readouterr().out)
+    verts = np.stack(vertex_set()).reshape(-1, 16)
+    printed = sorted((int(i), w) for i, w in data["weights"].items())
+    recon = sum(w * verts[i] for i, w in printed)
+    dev = np.abs(recon - r.ravel()).max()
+    assert data["deviation"] == dev
+    assert main(["separable", f]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == f"decomposition deviation: {dev:.12g}"
+    assert len(lines) == 2 + len(printed)
 
 
 def _run_without_scipy(code):

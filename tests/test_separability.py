@@ -118,7 +118,7 @@ def test_import_builds_no_orbit():
             "[0.6, 0.2, 0.1, 0.1])\n"
             "for f in (s._orbit, s.vertex_set, s._vertex_origins, "
             "s._vertex_array, s.witness_orbit, s._witness_stack, "
-            "s._walk_tables):\n"
+            "s._leading_stack, s._walk_tables):\n"
             "    assert f.cache_info().currsize == 0, f\n")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(
         os.path.dirname(slocc.__file__)))
@@ -271,23 +271,55 @@ def test_entangled_solves_no_lp(monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("symmetrise", [False, True])
-def test_witness_scan_agrees_with_lp(symmetrise):
+def _ppt_draws(rng, n):
+    """n unsymmetrised Dirichlet(1) r-matrices whose assembled state has a
+    positive partial transpose: they pass W0 and W1, so only the second
+    stage of the scan can refute them."""
+    out = []
+    while len(out) < n:
+        r = rng.dirichlet(np.ones(16)).reshape(4, 4)
+        rho = assemble(r, QubitOrdering.CUT)
+        if np.linalg.eigvalsh(partial_transpose(rho, (4, 4), 1)).min() >= 0:
+            out.append(r)
+    return out
+
+
+@pytest.mark.parametrize("draw", ["dirichlet", "symmetrised", "ppt"])
+def test_witness_scan_agrees_with_lp(draw):
     # the LP is the independent oracle for both answers: the scan's NO and
-    # the facet walk's decomposition
-    rng = np.random.default_rng(34 + symmetrise)
+    # the facet walk's decomposition.  The PPT draws check the scan's
+    # second stage, which alone sees past the W0 and W1 rows.
+    rng = np.random.default_rng(
+        {"dirichlet": 34, "symmetrised": 35, "ppt": 36}[draw])
+    if draw == "ppt":
+        draws = _ppt_draws(rng, 100)
+    else:
+        draws = [rng.dirichlet(np.full(16, 1.4)).reshape(4, 4)
+                 for _ in range(300)]
+    if draw == "symmetrised":
+        draws = [(d + d.T) / 2 for d in draws]
+    orbit = witness_orbit()
     answers = set()
-    for _ in range(300):
-        d = rng.dirichlet(np.full(16, 1.4)).reshape(4, 4)
-        r = (d + d.T) / 2 if symmetrise else d
+    for r in draws:
         cert = is_separable(r)
-        answers.add(type(cert))
         if isinstance(cert, ViolatedWitness):
+            answers.add(cert.witness.family)
+            # the first violation of the full scan, with its value
+            vals = min_witness_values(r)
+            first = int(np.argmax(vals < -TOL.witness))
+            assert orbit[first] is cert.witness
+            assert cert.value == vals[first]
             assert convex_membership(VERTS, r.ravel()) is None
         else:
+            answers.add("separable")
             _checked_decomposition(r)
             assert convex_membership(VERTS, r.ravel()) is not None
-    assert answers == {ViolatedWitness, ConvexDecomposition}
+    assert "separable" in answers
+    if draw == "ppt":
+        assert answers & {"W2", "W3", "W4"}
+        assert not answers & {"W0", "W1"}
+    else:
+        assert "W1" in answers
 
 
 @pytest.mark.parametrize("family,transposed", [
