@@ -10,9 +10,9 @@ both ways and cross-checks the answers.
 import numpy as np
 
 from slocc import (CANONICAL_WITNESSES, ConvexDecomposition, D0, G0,
-                   QubitOrdering, ViolatedWitness, assemble, is_separable,
-                   seesaw_min_product, verify_extension_certificate_W2,
-                   vertex_set, witness_orbit, witness_value)
+                   ViolatedWitness, assemble, is_separable, seesaw_min_product,
+                   verify_extension_certificate_W2, vertex_set, witness_orbit,
+                   witness_value)
 
 print(f"polytope vertices: {len(vertex_set())}")
 families = {}
@@ -50,7 +50,7 @@ for name, W in CANONICAL_WITNESSES.items():
 # see-saw: the assembled witnesses really are nonnegative on product states
 print("\nsee-saw product minima (upper bounds):")
 for k, name in enumerate(("W1", "W2", "W3", "W4")):
-    Z = assemble(CANONICAL_WITNESSES[name], QubitOrdering.CUT)
+    Z = assemble(CANONICAL_WITNESSES[name])
     val, _ = seesaw_min_product(Z, restarts=40, rng=k)
     print(f"  {name}: {val:+.2e}")
 

@@ -26,9 +26,8 @@ from .separability import (CANONICAL_WITNESSES, ConvexDecomposition, D0, G0,
                            seesaw_min_product, validate_rmatrix,
                            verify_extension_certificate_W2, vertex_set,
                            witness_orbit, witness_value)
-from .symmetric import (PAPER_TO_CUT, QubitOrdering, assemble,
-                        bell_permutation_factors, project_to_commutant,
-                        reorder, swap_factors)
+from .symmetric import (assemble, bell_permutation_factors,
+                        project_to_commutant, swap_factors)
 
 __version__ = "0.1.0"
 
@@ -52,6 +51,6 @@ __all__ = [
     "ViolatedWitness", "Witness", "is_separable", "seesaw_min_product",
     "validate_rmatrix", "verify_extension_certificate_W2", "vertex_set",
     "witness_orbit", "witness_value",
-    "PAPER_TO_CUT", "QubitOrdering", "assemble", "bell_permutation_factors",
-    "project_to_commutant", "reorder", "swap_factors",
+    "assemble", "bell_permutation_factors", "project_to_commutant",
+    "swap_factors",
 ]

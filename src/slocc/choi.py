@@ -2,10 +2,11 @@
 
 A separable completely positive map acts as rho -> sum_i (A_i x B_i) rho
 (A_i x B_i)^dag with 2x2 Kraus factors per party.  Its dual state lives on
-four qubits grouped as (A_out, A_in, B_out, B_in) = (A', A'', B', B''), i.e.
-CUT ordering, and the map is separable iff that state is separable across
-the A|B cut.  The module also houses the rank-deficient rho_ND family and
-the explicit two-term separable map that reverses its quasi-distillation.
+four qubits grouped as (A_out, A_in, B_out, B_in) = (A', A'', B', B''), as
+in slocc.symmetric, and the map is separable iff that state is separable
+across the A|B cut.  The module also houses the rank-deficient rho_ND family
+and the explicit two-term separable map that reverses its
+quasi-distillation.
 """
 
 from __future__ import annotations
@@ -15,11 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bell import PAULIS, validate_weights
-from .numerics import (TOL, InvalidStateError, NumericsError, kron,
-                       partial_trace)
-from .separability import _vertex_origin
-from .symmetric import (QubitOrdering, bell_permutation_factors,
-                        project_to_commutant, reorder)
+from .numerics import (TOL, DimensionMismatchError, InvalidStateError,
+                       NumericsError, kron)
+from .separability import _rmatrix_array, _vertex_origin
+from .symmetric import bell_permutation_factors, project_to_commutant
 
 
 class AnnihilatedError(NumericsError):
@@ -32,6 +32,15 @@ class NotAVertexError(NumericsError):
 
 class BOutOfRangeError(NumericsError):
     pass
+
+
+def _finite(kraus):
+    """Kraus operators, or Choi vectors, as one complex array; a non-finite
+    entry raises InvalidStateError, not a failure of the eigensolver."""
+    kraus = np.asarray(kraus, dtype=complex)
+    if not np.isfinite(kraus).all():
+        raise InvalidStateError("non-finite Kraus operator")
+    return kraus
 
 
 def _success_weight(total, source, annihilated):
@@ -64,9 +73,9 @@ class SeparableMap:
         return [kron(A, B) for A, B in self.kraus]
 
     def normalize(self):
-        S = sum(K.conj().T @ K for K in self.combined())
+        S = sum(K.conj().T @ K for K in _finite(self.combined()))
         s = float(np.linalg.eigvalsh(S).max())
-        if s <= 0:
+        if not s > 0:
             raise AnnihilatedError("map has no Kraus content")
         f = s ** 0.25
         return SeparableMap(kraus=[(A / f, B / f) for A, B in self.kraus],
@@ -87,9 +96,15 @@ def apply_map_density(sep_map, rho):
 def map_action_bd(r, lam):
     """Bell-diagonal action of the map with r-matrix r: lam' prop r @ lam.
 
-    Returns (normalized output weights, success weight = ||r lam||_1).
+    r is 4x4, finite and nonnegative; it need not sum to 1.  Returns
+    (normalized output weights, success weight = ||r lam||_1).  That weight
+    belongs to this r (can_convert_bd scales its maps to 1); it is not the
+    success probability of a physical map.
     """
-    r = np.asarray(r, dtype=float)
+    r = _rmatrix_array(r)
+    # a NaN entry passes this comparison; the weight check refuses NaN and inf
+    if r.min() < -TOL.tie:
+        raise InvalidStateError(f"negative r-matrix entry {r.min()}")
     lam = validate_weights(lam)
     v = r @ lam
     weight = _success_weight(v.sum(), "r-matrix",
@@ -97,46 +112,40 @@ def map_action_bd(r, lam):
     return v / weight, weight
 
 
-_PHI_PLUS = np.zeros(4, dtype=complex)
-_PHI_PLUS[0] = 1.0
-_PHI_PLUS[3] = 1.0  # unnormalized sum_i |ii>
-
-
 def cj_state(sep_map):
-    """16x16 dual state in CUT ordering (A' A'' B' B''), unnormalized.
+    """16x16 dual state on the qubits (A' A'' B' B''), unnormalized.
 
-    Each party's factor acts on (out, in) = (primed, double-primed); the
-    state is manifestly separable across the A|B cut for any Kraus list.
+    Each party's factor acts on (out, in) = (primed, double-primed), so the
+    state sums the projectors onto the Choi vectors kron(A.ravel(),
+    B.ravel()): manifestly separable across the A|B cut for any Kraus list.
     """
-    phi = np.outer(_PHI_PLUS, _PHI_PLUS.conj())
-    out = np.zeros((16, 16), dtype=complex)
-    for A, B in sep_map.kraus:
-        KA = kron(A, np.eye(2))
-        KB = kron(B, np.eye(2))
-        out += np.kron(KA @ phi @ KA.conj().T, KB @ phi @ KB.conj().T)
-    return out
+    K = _finite([np.kron(np.ravel(A), np.ravel(B))
+                 for A, B in sep_map.kraus]).reshape(-1, 16)
+    return K.T @ K.conj()
 
 
 def cj_rmatrix(sep_map):
     """Commutant projection of the dual state; normalized to unit mass."""
-    r = project_to_commutant(cj_state(sep_map), QubitOrdering.CUT)
+    r = project_to_commutant(cj_state(sep_map))
     total = _success_weight(r.sum(), "Kraus operator",
                             "dual state has zero symmetric component")
     return r / total
 
 
-def channel_from_cj(rho_dual, rho_in, ordering=QubitOrdering.CUT):
+def channel_from_cj(rho_dual, rho_in):
     """Recover the map action from its dual state (unnormalized output).
 
     E(rho) = tr_in[rho_dual (I_out (x) rho^T)], transposition in the
-    standard product basis of the input pair (A'', B'').
+    standard product basis of the input pair (A'', B''): one contraction
+    over the dual's eight qubit axes (A' A'' B' B'' for rows, then columns).
     """
-    rho_dual = reorder(np.asarray(rho_dual, dtype=complex), ordering,
-                       QubitOrdering.PAPER)
+    rho_dual = np.asarray(rho_dual, dtype=complex)
     rho_in = np.asarray(rho_in, dtype=complex)
-    # PAPER ordering A' B' A'' B'': the input pair is the trailing factor.
-    op = np.kron(np.eye(4, dtype=complex), rho_in.T)
-    return partial_trace(rho_dual @ op, (2, 2, 2, 2), keep=(0, 1))
+    if rho_dual.shape != (16, 16) or rho_in.shape != (4, 4):
+        raise DimensionMismatchError("expected a 16x16 dual, a 4x4 state")
+    out = np.einsum("awbxcydz,wxyz->abcd", rho_dual.reshape((2,) * 8),
+                    rho_in.reshape(2, 2, 2, 2))
+    return out.reshape(4, 4)
 
 
 # product Kraus pairs of the seed vertices: Bell-correlated Pauli dephasing

@@ -36,7 +36,7 @@ from .separability import (CANONICAL_WITNESSES, ConvexDecomposition,
                            ViolatedWitness, _vertex_array, is_separable,
                            seesaw_min_product, validate_rmatrix,
                            verify_extension_certificate_W2, witness_value)
-from .symmetric import QubitOrdering, assemble
+from .symmetric import assemble
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -54,6 +54,12 @@ def _fmt(x):
 
 def _fmt_vec(v):
     return " ".join(_fmt(x) for x in v)
+
+
+def _json_value(x):
+    """float(x), or None (JSON null) for an infinite monotone value."""
+    x = float(x)
+    return x if math.isfinite(x) else None
 
 
 def _read_json(path):
@@ -153,8 +159,8 @@ def cmd_monotones(args):
     ], {
         "lambda": [float(x) for x in lam],
         "E1": e1,
-        "E2": {"value": e2, "ratio": [float(m.e2[0]), float(m.e2[1])]},
-        "E3": {"value": e3, "ratio": [float(m.e3[0]), float(m.e3[1])]},
+        "E2": {"value": _json_value(e2), "ratio": [float(x) for x in m.e2]},
+        "E3": {"value": _json_value(e3), "ratio": [float(x) for x in m.e3]},
     })
     return EXIT_YES
 
@@ -179,7 +185,8 @@ def cmd_convert(args):
         _emit(args, ["NO",
                      f"{name} violated: {_fmt(src)} < {_fmt(dst)}"],
               {"convertible": False, "violated_monotone": name,
-               "source_value": src, "target_value": dst,
+               "source_value": _json_value(src),
+               "target_value": _json_value(dst),
                "reason": decision.reason})
         return EXIT_NO
     # replay the printed certificate before claiming YES
@@ -285,13 +292,13 @@ def _selfcheck_items(seed):
 
     def seesaw_suite():
         for k, name in enumerate(("W1", "W2", "W3", "W4")):
-            Z = assemble(CANONICAL_WITNESSES[name], QubitOrdering.CUT)
+            Z = assemble(CANONICAL_WITNESSES[name])
             val, _ = seesaw_min_product(Z, restarts=60, rng=int(seeds[k]))
             if val < -TOL.solver:
                 return False, f"{name} see-saw min {val:.3e}"
         neg = np.zeros((4, 4))
         neg[3, 0] = -1.0
-        Z = assemble(neg, QubitOrdering.CUT)
+        Z = assemble(neg)
         val, _ = seesaw_min_product(Z, restarts=60, rng=int(seeds[4]))
         if val > -0.2:
             return False, f"negative control min {val:.3e}"

@@ -21,7 +21,7 @@ import numpy as np
 
 from .numerics import (TOL, NumericsError, InvalidStateError, is_hermitian,
                        NonHermitianError, partial_transpose)
-from .symmetric import QubitOrdering, assemble
+from .symmetric import assemble
 
 __all__ = [
     "CANONICAL_WITNESSES", "D0", "G0", "Witness", "ConvexDecomposition",
@@ -221,7 +221,7 @@ def _leading_stack():
 def witness_value(witness, r):
     """<W, r> = sum_ij W[i,j] r[i,j]; equals tr of the assembled operators."""
     W = witness.matrix if isinstance(witness, Witness) else np.asarray(witness)
-    return float(np.sum(W * np.asarray(r)))
+    return float(np.sum(W * _rmatrix_array(r)))
 
 
 def min_witness_values(r):
@@ -229,10 +229,16 @@ def min_witness_values(r):
     return _witness_stack() @ np.asarray(r, dtype=float).ravel()
 
 
-def validate_rmatrix(r):
+def _rmatrix_array(r):
+    """r as a float array; InvalidStateError unless it is 4x4."""
     r = np.asarray(r, dtype=float)
     if r.shape != (4, 4):
         raise InvalidStateError("r-matrix must be 4x4")
+    return r
+
+
+def validate_rmatrix(r):
+    r = _rmatrix_array(r)
     # negated comparisons, so a NaN entry fails them
     if not r.min() >= -TOL.tie:
         raise InvalidStateError(f"negative entry {r.min()}")
@@ -338,11 +344,11 @@ def is_separable(r):
 def seesaw_min_product(Z, restarts=200, rng=None):
     """Alternating minimization of <a b| Z |a b> over product vectors.
 
-    Z is 16x16 Hermitian in CUT ordering (C^4_A x C^4_B).  Fixing one side,
-    the optimal other side is the minimal eigenvector of the contracted 4x4
-    operator.  Each restart stops after 500 sweeps, or once two successive
-    values agree within TOL.tie.  Returns (best value, (alpha, beta)); an
-    upper bound on the true product-state minimum.
+    Z is 16x16 Hermitian on C^4_A x C^4_B (qubits A' A'' B' B'').  Fixing
+    one side, the optimal other side is the minimal eigenvector of the
+    contracted 4x4 operator.  Each restart stops after 500 sweeps, or once
+    two successive values agree within TOL.tie.  Returns (best value,
+    (alpha, beta)); an upper bound on the true product-state minimum.
     """
     Z = np.asarray(Z, dtype=complex)
     if not is_hermitian(Z, tol=TOL.equality):
@@ -424,7 +430,7 @@ def verify_extension_certificate_W2():
     certificate.  Returns the residual, or raises CertificateMismatchError
     if it exceeds TOL.equality.
     """
-    Zw = assemble(CANONICAL_WITNESSES["W2"], QubitOrdering.CUT)
+    Zw = assemble(CANONICAL_WITNESSES["W2"])
     piA = symmetric_subspace_projector(4)
     P = np.kron(piA, np.eye(4))
     lhs = P @ np.kron(np.eye(4), Zw) @ P

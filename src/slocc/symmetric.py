@@ -4,19 +4,12 @@ A four-qubit operator invariant under U x U x V x V (U, V in the Pauli group)
 is a combination sum_ij M[i,j] Pi_i (x) Pi_j of tensored Bell projectors, so
 it is diagonal in the product Bell basis Phi_i (x) Phi_j: the 4x4 real
 r-matrix M, read as that diagonal, and the 16x16 operator differ by one basis
-change.
-
-Two qubit orderings for the assembled 16x16 matrix:
-
-    PAPER ordering:  qubits A', B', A'', B''  (big-endian binary indexing);
-                     the first Bell projector acts on the A'B' pair.
-    CUT ordering:    qubits A', A'', B', B''  -- groups the two parties, so
-                     the separability cut A|B is the 4x4 (x) 4x4 split.
+change.  The 16x16 operators order their qubits A', A'', B', B'' (big-endian
+binary indexing): Pi_i acts on the pair A'B' and Pi_j on A''B'', and the
+separability cut A|B is the 4x4 (x) 4x4 split.
 """
 
 from __future__ import annotations
-
-from enum import Enum
 
 import numpy as np
 
@@ -24,41 +17,23 @@ from .bell import BELL_VECTORS, PAULI_I, PAULI_X, PAULI_Z
 from .numerics import NonHermitianError, NumericsError, is_hermitian
 
 
-class QubitOrdering(Enum):
-    PAPER = "paper"   # A' B' A'' B''
-    CUT = "cut"       # A' A'' B' B''
-
-
 class UnsupportedPairError(NumericsError):
     pass
 
 
-# row 4 i + j is Phi_i (x) Phi_j in PAPER ordering
-_BELL_PAIRS = np.kron(BELL_VECTORS, BELL_VECTORS)
-
-# PAPER (A',B',A'',B'') -> CUT (A',A'',B',B'') swaps the middle two qubits:
-# an index permutation that is its own inverse
-_SWAP_MIDDLE = np.arange(16).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).ravel()
-PAPER_TO_CUT = np.eye(16)[_SWAP_MIDDLE]
-PAPER_TO_CUT.setflags(write=False)
+# row 4 i + j is Phi_i (x) Phi_j: the kron orders its qubits A', B', A'',
+# B'', and the index array swaps the middle two
+_BELL_PAIRS = np.kron(BELL_VECTORS, BELL_VECTORS)[
+    :, np.arange(16).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).ravel()]
 
 
-def reorder(rho, src: QubitOrdering, dst: QubitOrdering):
-    """Conjugate a 16x16 matrix by the qubit-reordering permutation."""
-    rho = np.asarray(rho, dtype=complex)
-    if src == dst:
-        return rho
-    return rho[np.ix_(_SWAP_MIDDLE, _SWAP_MIDDLE)]
-
-
-def assemble(M, ordering=QubitOrdering.PAPER):
-    """16x16 matrix sum_ij M[i,j] Pi_i (x) Pi_j in the requested ordering."""
+def assemble(M):
+    """16x16 matrix sum_ij M[i,j] Pi_i (x) Pi_j."""
     M = np.asarray(M, dtype=float)
-    out = (_BELL_PAIRS.T * M.ravel()) @ _BELL_PAIRS.conj()
-    return reorder(out, QubitOrdering.PAPER, ordering)
+    return (_BELL_PAIRS.T * M.ravel()) @ _BELL_PAIRS.conj()
 
 
-def project_to_commutant(rho, ordering=QubitOrdering.PAPER):
+def project_to_commutant(rho):
     """r[i,j] = tr[rho (Pi_i x Pi_j)]; the twirl onto the symmetric commutant.
 
     Accepts any Hermitian 16x16 input; non-symmetric matrices are projected
@@ -67,7 +42,6 @@ def project_to_commutant(rho, ordering=QubitOrdering.PAPER):
     rho = np.asarray(rho, dtype=complex)
     if not is_hermitian(rho):
         raise NonHermitianError("input to project_to_commutant not Hermitian")
-    rho = reorder(rho, ordering, QubitOrdering.PAPER)
     # the diagonal of rho in the product Bell basis
     return np.einsum("ka,ab,kb->k", _BELL_PAIRS.conj(), rho,
                      _BELL_PAIRS).real.reshape(4, 4)

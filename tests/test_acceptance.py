@@ -23,7 +23,7 @@ from slocc.separability import (CANONICAL_WITNESSES, min_witness_values,
                                 symmetric_subspace_projector,
                                 verify_extension_certificate_W2, vertex_set,
                                 witness_orbit, z2_certificate_matrix)
-from slocc.symmetric import QubitOrdering, assemble
+from slocc.symmetric import assemble
 
 
 def _report(num, label, ok, detail=""):
@@ -126,7 +126,7 @@ def test_criterion_3_ppt_equals_w1():
     bad = 0
     for _ in range(1000):
         r = _random_rmatrix(rng, rng.choice([0.15, 0.5, 2.0]))
-        rho = assemble(r, QubitOrdering.CUT)
+        rho = assemble(r)
         pt_min = np.linalg.eigvalsh(partial_transpose(rho, (4, 4), 1)).min()
         w1_min = min_witness_values(r)[w1_idx].min()
         if (pt_min >= -1e-10) != (w1_min >= -1e-10):
@@ -166,13 +166,13 @@ def test_criterion_6_witness_seesaw():
     details = []
     ok = True
     for k, name in enumerate(("W1", "W2", "W3", "W4")):
-        Z = assemble(CANONICAL_WITNESSES[name], QubitOrdering.CUT)
+        Z = assemble(CANONICAL_WITNESSES[name])
         val, _ = seesaw_min_product(Z, restarts=200, rng=k)
         details.append(f"{name}: {val:.1e}")
         ok = ok and val >= -1e-8
     neg = np.zeros((4, 4))
     neg[3, 0] = -1.0
-    ctrl, _ = seesaw_min_product(assemble(neg, QubitOrdering.CUT),
+    ctrl, _ = seesaw_min_product(assemble(neg),
                                  restarts=200, rng=99)
     ok = ok and ctrl <= -0.2
     details.append(f"control: {ctrl:.3f}")
@@ -194,7 +194,7 @@ def test_criterion_7_cj_round_trips():
         rho = A @ A.conj().T
         rho /= np.trace(rho).real
         direct = sum(K @ rho @ K.conj().T for K in m.combined())
-        via = channel_from_cj(dual, rho, QubitOrdering.CUT)
+        via = channel_from_cj(dual, rho)
         worst_action = max(worst_action, float(np.abs(direct - via).max()))
     ok = worst <= 1e-10 and worst_action <= 1e-10
     _report(7, "all 60 CJ round trips and dual action reproduce", ok,

@@ -6,9 +6,8 @@ from slocc.choi import (AnnihilatedError, BOutOfRangeError, NotAVertexError,
                         SeparableMap, apply_map_density, channel_from_cj,
                         cj_rmatrix, cj_state, kraus_for_vertex, map_action_bd,
                         quasi_reverse_map, rho_nd, rho_nd_prime)
-from slocc.numerics import InvalidStateError, NumericsError
+from slocc.numerics import DimensionMismatchError, InvalidStateError
 from slocc.separability import D0, G0, vertex_set
-from slocc.symmetric import QubitOrdering
 
 
 def test_normalize_scales_to_unit_max_eig():
@@ -34,13 +33,17 @@ def test_apply_map_annihilation():
     rho = np.kron(np.outer(ket, ket), np.eye(2) / 2)
     with pytest.raises(AnnihilatedError):
         apply_map_density(m, rho)
+    with pytest.raises(AnnihilatedError):
+        cj_rmatrix(SeparableMap(kraus=[]))
     # a NaN success weight is refused, not returned
     with pytest.raises(InvalidStateError, match="non-finite r-matrix"):
         map_action_bd(np.full((4, 4), np.nan), [0.7, 0.1, 0.1, 0.1])
     with pytest.raises(InvalidStateError, match="non-finite state"):
         apply_map_density(m, np.full((4, 4), np.nan))
-    with pytest.raises(NumericsError):
-        cj_rmatrix(SeparableMap(kraus=[(np.full((2, 2), np.nan), P)]))
+    nan_map = SeparableMap(kraus=[(np.full((2, 2), np.nan), P)])
+    for refuse in (cj_rmatrix, SeparableMap.normalize):
+        with pytest.raises(InvalidStateError, match="non-finite Kraus"):
+            refuse(nan_map)
 
 
 def test_map_action_bd_examples():
@@ -51,6 +54,17 @@ def test_map_action_bd_examples():
     out, w = map_action_bd(G0, lam)
     assert np.abs(out - [0.5, 0.5, 0, 0]).max() < 1e-12
     assert abs(w - 0.25 * 0.8 * 2) < 1e-12  # proportional to lam1 + lam2
+    # r need not sum to 1, but it must be 4x4, finite and nonnegative
+    out, w = map_action_bd(4 * D0, lam)
+    assert np.abs(out - lam).max() < 1e-12 and abs(w - 1.0) < 1e-12
+    nan = 4 * D0
+    nan[1, 2] = np.nan
+    for bad, message in ((0.5 - np.eye(4), "negative"),
+                         (np.full((4, 4), np.inf), "non-finite r-matrix"),
+                         (nan, "non-finite r-matrix"),
+                         (D0[:3], "4x4"), (np.ones(4) / 4, "4x4")):
+        with pytest.raises(InvalidStateError, match=message):
+            map_action_bd(bad, lam)
 
 
 def test_cj_round_trip_seed_vertices():
@@ -93,8 +107,13 @@ def test_channel_from_cj_matches_kraus_action():
         rho = A @ A.conj().T
         rho /= np.trace(rho).real
         direct = sum(K @ rho @ K.conj().T for K in m.combined())
-        via_dual = channel_from_cj(dual, rho, QubitOrdering.CUT)
+        via_dual = channel_from_cj(dual, rho)
         assert np.abs(direct - via_dual).max() < 1e-10
+    # a dual or a state of the wrong size is refused, not cut to size
+    for bad_dual, bad_rho in ((np.eye(32), rho), (dual, np.eye(8) / 8),
+                              (dual[:4, :4], rho)):
+        with pytest.raises(DimensionMismatchError):
+            channel_from_cj(bad_dual, bad_rho)
 
 
 def test_dual_action_consistent_with_rmatrix_action():

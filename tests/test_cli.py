@@ -54,11 +54,30 @@ def test_monotones_json(worked_pair, capsys):
     assert data["E2"]["ratio"] == [pytest.approx(0.8), pytest.approx(0.2)]
 
 
+def _strict_json(text):
+    """json.loads that refuses Infinity and NaN, which JSON does not have."""
+    def refuse(name):
+        raise ValueError(f"non-JSON constant {name}")
+    return json.loads(text, parse_constant=refuse)
+
+
 def test_monotones_pure_bell_inf(tmp_path, capsys):
     f = _weights_file(tmp_path, "bell.json", [1.0, 0.0, 0.0, 0.0])
     assert main(["monotones", f]) == 0
     out = capsys.readouterr().out
     assert "E2 = inf (ratio 1/0)" in out
+    # --json prints an infinite value as null; the ratio pair keeps it
+    assert main(["--json", "monotones", f]) == 0
+    data = _strict_json(capsys.readouterr().out)
+    for name in ("E2", "E3"):
+        assert data[name] == {"value": None, "ratio": [1.0, 0.0]}
+    src = _weights_file(tmp_path, "src.json", [0.7, 0.1, 0.1, 0.1])
+    dst = _weights_file(tmp_path, "dst.json", [0.6, 0.4, 0.0, 0.0])
+    assert main(["--json", "convert", src, dst]) == 1
+    data = _strict_json(capsys.readouterr().out)
+    assert data["violated_monotone"] == "E2"
+    assert data["source_value"] == pytest.approx(4.0)
+    assert data["target_value"] is None
 
 
 def test_monotones_not_entangled_exit_3(tmp_path, capsys):

@@ -20,7 +20,7 @@ from slocc.separability import (CANONICAL_WITNESSES, CertificateMismatchError,
                                 verify_extension_certificate_W2, vertex_set,
                                 witness_orbit, witness_value,
                                 z2_certificate_matrix)
-from slocc.symmetric import QubitOrdering, assemble
+from slocc.symmetric import assemble
 
 # W2..W4 count both the canonical witness's orbit and its transpose's
 ORBIT_SIZES = {"W0": 16, "W1": 16, "W2": 96, "W3": 576, "W4": 576}
@@ -153,6 +153,10 @@ def test_witness_value_examples():
     assert witness_value(CANONICAL_WITNESSES["W1"], r41) == -1.0
     assert witness_value(CANONICAL_WITNESSES["W1"], D0) == 1.0
     assert witness_value(CANONICAL_WITNESSES["W2"], G0) == 0.5
+    # an r that is not 4x4 is refused, not broadcast
+    for bad in ([0.25] * 4, np.ones((1, 4)), np.ones((4, 4, 1)), 0.5):
+        with pytest.raises(InvalidStateError, match="4x4"):
+            witness_value(CANONICAL_WITNESSES["W1"], bad)
 
 
 def test_validate_rmatrix():
@@ -206,7 +210,7 @@ def test_ppt_matches_w1_orbit():
     w1_idx = [k for k, w in enumerate(witness_orbit()) if w.family == "W1"]
     for _ in range(100):
         r = rng.dirichlet(np.full(16, 0.5)).reshape(4, 4)
-        rho = assemble(r, QubitOrdering.CUT)
+        rho = assemble(r)
         pt_min = np.linalg.eigvalsh(
             partial_transpose(rho, (4, 4), 1)).min()
         w1_min = min_witness_values(r)[w1_idx].min()
@@ -215,7 +219,7 @@ def test_ppt_matches_w1_orbit():
 
 def test_seesaw_nonnegative_on_witnesses():
     for k, name in enumerate(("W1", "W2")):
-        Z = assemble(CANONICAL_WITNESSES[name], QubitOrdering.CUT)
+        Z = assemble(CANONICAL_WITNESSES[name])
         val, (a, b) = seesaw_min_product(Z, restarts=20, rng=k)
         assert val >= -1e-8
         # the returned pair reproduces the reported value
@@ -226,7 +230,7 @@ def test_seesaw_nonnegative_on_witnesses():
 def test_seesaw_finds_negative_control():
     neg = np.zeros((4, 4))
     neg[3, 0] = -1.0
-    val, _ = seesaw_min_product(assemble(neg, QubitOrdering.CUT),
+    val, _ = seesaw_min_product(assemble(neg),
                                 restarts=20, rng=0)
     assert val <= -0.2
 
@@ -278,7 +282,7 @@ def _ppt_draws(rng, n):
     out = []
     while len(out) < n:
         r = rng.dirichlet(np.ones(16)).reshape(4, 4)
-        rho = assemble(r, QubitOrdering.CUT)
+        rho = assemble(r)
         if np.linalg.eigvalsh(partial_transpose(rho, (4, 4), 1)).min() >= 0:
             out.append(r)
     return out

@@ -5,62 +5,39 @@ import pytest
 
 from slocc.bell import BELL_PROJECTORS
 from slocc.numerics import NonHermitianError
-from slocc.symmetric import (PAPER_TO_CUT, QubitOrdering, UnsupportedPairError,
-                             assemble, bell_permutation_factors,
-                             project_to_commutant, reorder, swap_factors)
+from slocc.symmetric import (UnsupportedPairError, assemble,
+                             bell_permutation_factors, project_to_commutant,
+                             swap_factors)
 
 
-def test_reorder_round_trip():
-    rng = np.random.default_rng(21)
-    rho = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
-    back = reorder(reorder(rho, QubitOrdering.PAPER, QubitOrdering.CUT),
-                   QubitOrdering.CUT, QubitOrdering.PAPER)
-    assert np.abs(back - rho).max() == 0
-    assert np.abs(PAPER_TO_CUT @ PAPER_TO_CUT.T - np.eye(16)).max() == 0
-
-
-def test_reorder_moves_qubits():
-    # basis state |a' b' a'' b''> in PAPER ordering is |a' a'' b' b''> in CUT
-    # ordering; the eight with b' != a'' move
-    moved = 0
-    for a1, b1, a2, b2 in itertools.product((0, 1), repeat=4):
-        paper = 8 * a1 + 4 * b1 + 2 * a2 + b2
-        cut = 8 * a1 + 4 * a2 + 2 * b1 + b2
-        rho = np.zeros((16, 16))
-        rho[paper, paper] = 1.0
-        expected = np.zeros((16, 16))
-        expected[cut, cut] = 1.0
-        assert np.array_equal(
-            reorder(rho, QubitOrdering.PAPER, QubitOrdering.CUT), expected)
-        moved += cut != paper
-    assert moved == 8
-
-
-def _tensored_projectors(ordering):
-    """Pi_i (x) Pi_j from their definition, reordered to `ordering`."""
-    return [[reorder(np.kron(BELL_PROJECTORS[i], BELL_PROJECTORS[j]),
-                     QubitOrdering.PAPER, ordering) for j in range(4)]
-            for i in range(4)]
+def _tensored_projectors():
+    """Pi_i (x) Pi_j from their definition, with the qubits A' B' A'' B'' of
+    the kron moved to A' A'' B' B'' by a reshape and transpose."""
+    def cut(op):
+        return op.reshape((2,) * 8).transpose(0, 2, 1, 3, 4, 6, 5, 7) \
+            .reshape(16, 16)
+    return [[cut(np.kron(BELL_PROJECTORS[i], BELL_PROJECTORS[j]))
+             for j in range(4)] for i in range(4)]
 
 
 def test_assemble_project_round_trip():
     # against the definitions sum_ij M_ij Pi_i (x) Pi_j and
     # tr[rho (Pi_i (x) Pi_j)]: a transposed assemble paired with a transposed
-    # project_to_commutant would still round-trip
+    # project_to_commutant, or one without the qubit permutation, would
+    # still round-trip
     rng = np.random.default_rng(22)
-    for ordering in QubitOrdering:
-        proj = _tensored_projectors(ordering)
+    proj = _tensored_projectors()
+    for _ in range(2):
         M = rng.dirichlet(np.ones(16)).reshape(4, 4)
-        rho = assemble(M, ordering)
+        rho = assemble(M)
         direct = sum(M[i, j] * proj[i][j] for i in range(4) for j in range(4))
         assert np.abs(rho - direct).max() < 1e-14
         A = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
         sigma = A @ A.conj().T / 64.0
         traces = [[np.trace(sigma @ proj[i][j]).real for j in range(4)]
                   for i in range(4)]
-        assert np.abs(project_to_commutant(sigma, ordering)
-                      - traces).max() < 1e-14
-        r = project_to_commutant(rho, ordering)
+        assert np.abs(project_to_commutant(sigma) - traces).max() < 1e-14
+        r = project_to_commutant(rho)
         assert np.abs(r - M).max() < 1e-12
 
 
