@@ -73,7 +73,9 @@ class SeparableMap:
         return [kron(A, B) for A, B in self.kraus]
 
     def normalize(self):
-        S = sum(K.conj().T @ K for K in _finite(self.combined()))
+        # the zero start keeps S 4x4 for an empty Kraus list
+        S = sum((K.conj().T @ K for K in _finite(self.combined())),
+                np.zeros((4, 4)))
         s = float(np.linalg.eigvalsh(S).max())
         if not s > 0:
             raise AnnihilatedError("map has no Kraus content")
@@ -96,10 +98,11 @@ def apply_map_density(sep_map, rho):
 def map_action_bd(r, lam):
     """Bell-diagonal action of the map with r-matrix r: lam' prop r @ lam.
 
-    r is 4x4, finite and nonnegative; it need not sum to 1.  Returns
-    (normalized output weights, success weight = ||r lam||_1).  That weight
-    belongs to this r (can_convert_bd scales its maps to 1); it is not the
-    success probability of a physical map.
+    r is 4x4, finite and nonnegative, of any scale.  Returns (normalized
+    output weights, success probability).  Sum K^dag K is Bell-diagonal with
+    eigenvalues proportional to r's column sums, and SeparableMap.normalize
+    scales the largest to 1, so the probability is sum_j colsum_j(r) lam_j /
+    max_j colsum_j(r), as apply_map_density reports: 1 if trace-preserving.
     """
     r = _rmatrix_array(r)
     # a NaN entry passes this comparison; the weight check refuses NaN and inf
@@ -107,9 +110,9 @@ def map_action_bd(r, lam):
         raise InvalidStateError(f"negative r-matrix entry {r.min()}")
     lam = validate_weights(lam)
     v = r @ lam
-    weight = _success_weight(v.sum(), "r-matrix",
-                             "r-matrix annihilates these weights")
-    return v / weight, weight
+    total = _success_weight(v.sum(), "r-matrix",
+                            "r-matrix annihilates these weights")
+    return v / total, total / r.sum(axis=0).max()
 
 
 def cj_state(sep_map):

@@ -345,7 +345,7 @@ def _selfcheck_items(seed):
             r = can_convert_bd(lam, lam_p).rmatrix
             if r is None:
                 continue
-            if not isinstance(is_separable(r / r.sum()), ConvexDecomposition):
+            if not isinstance(is_separable(r), ConvexDecomposition):
                 return False, f"map for {lam} -> {lam_p} not separable"
             checked += 1
         return True, "50 synthesized maps separable"

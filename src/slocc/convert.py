@@ -15,8 +15,8 @@ are kept as (numerator, denominator) pairs and compared by
 cross-multiplication, so vanishing denominators (pure Bell states) need no
 special casing.
 
-A YES comes with a separable r-matrix that realizes it (`synthesize_map`);
-`lp_oracle_membership` is the independent oracle.
+A YES comes with the dual state of a deterministic LOCC map that realizes
+it (`synthesize_map`); `lp_oracle_membership` is the independent oracle.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ import numpy as np
 from .bell import (_exceeds_half, is_ordered, validate_weights,
                    weights_to_coords)
 from .numerics import TOL, NumericsError, convex_membership
-from .separability import D0, G0
 
 
 class NotOrderedError(NumericsError):
@@ -112,7 +111,8 @@ class Decision:
 
     @property
     def rmatrix(self):
-        """The r-matrix realizing a YES, as a read-only 4x4 array, or None."""
+        """A YES's deterministic LOCC map as its unit-sum dual state (columns
+        sum to 1/4): a read-only 4x4 array, or None."""
         if self.rmatrix_bytes is not None:
             return np.frombuffer(self.rmatrix_bytes).reshape(4, 4)
 
@@ -167,31 +167,21 @@ _SUBSETS = np.array(list(itertools.combinations(range(9), 4)))
 _LIFTED = np.column_stack((np.ones(9), [1.0] * 6 + [0.0] * 3, np.zeros((9, 2))))
 
 
-# the nine generating r-matrices, each an element of vertex_set(), in the
-# order of the labelled vertices.  Tail permutation perm is D0[perm]
-# (vec_i = lam[perm[i]]: weight moves from Bell perm[i] to Bell i); half-half
-# map i is G0 with the second row of its block moved to row i, preparing
-# (Phi_1 + Phi_{i+1})/2.  Neither depends on lam.
-_GENERATORS = np.array([D0[perm] for perm in _TAIL_PERMS]
-                       + [G0[[0] + [1 if k == i else 2 for k in (1, 2, 3)]]
+# the nine trace-preserving maps (every column sums to 1), in the order of
+# the labelled vertices: the six tail permutations, local Bell relabellings
+# (row i of eye(4)[perm] moves weight from Bell perm[i] to Bell i), then the
+# three discard-and-prepare maps onto (Phi_1 + Phi_{i+1})/2.  Their images of
+# lam are the vertices of P_lam.
+_GENERATORS = np.array([np.eye(4)[perm] for perm in _TAIL_PERMS]
+                       + [np.outer(np.eye(4)[0] + np.eye(4)[i], np.ones(4)) / 2
                           for i in (1, 2, 3)])
 _GENERATORS.setflags(write=False)
 
 
-def _labelled_vertices(lam):
-    """The nine vertices of P_lam as rows, row k the image of lam under
-    _GENERATORS[k] divided by its sum, and those sums: the success
-    weights."""
-    images = (_GENERATORS.reshape(36, 4) @ lam).reshape(9, 4)
-    success = images.sum(axis=1)
-    return images / success[:, None], success
-
-
 def plambda_vertices(lam):
     """Deduplicated vertex list of the reachable polytope (up to 9 vectors)."""
-    verts, _ = _labelled_vertices(_require_ordered_entangled(lam))
     unique = []
-    for v in verts:
+    for v in _GENERATORS @ _require_ordered_entangled(lam):
         if not any(np.abs(v - u).max() <= TOL.tie for u in unique):
             unique.append(v)
     return np.array(unique)
@@ -283,16 +273,16 @@ def _caratheodory(verts, lam, lam_prime):
 
 
 def synthesize_map(lam, lam_prime):
-    """An explicit separable-cone r-matrix realizing lam -> lam'.
+    """The unit-sum dual state r of a deterministic LOCC map taking lam to
+    lam'.
 
     Writes lam' as a convex combination of four labelled vertices of the
     reachable polytope (one batched barycentric solve in the layer
-    coordinates, no LP; see _caratheodory), maps each vertex to its
-    generating vertex r-matrix, and reweights so the unnormalized images
-    align: r lam / ||r lam||_1 = lam'.  Every generating r-matrix is a
-    vertex of the separable polytope, so the same weights, normalized, form
-    a ConvexDecomposition of r / sum(r) over vertex_set(): the map is
-    certified by construction.  The replay of lam' is checked within
+    coordinates, no LP; see _caratheodory) and mixes their trace-preserving
+    maps with the same weights, so 4 r lam = lam' and every column of r sums
+    to 1/4.  A quarter of each map is an element of vertex_set() or the
+    mean of two, so r is a convex combination of at most seven vertices:
+    separable by construction.  The replay of lam' is checked within
     TOL.equality; a pair the monotones refuse raises NotConvertibleError.
     """
     return _synthesize_map(_require_ordered_entangled(lam),
@@ -300,13 +290,10 @@ def synthesize_map(lam, lam_prime):
 
 
 def _synthesize_map(lam, lam_prime):
-    verts, success = _labelled_vertices(lam)
-    subset, c = _caratheodory(verts, lam, lam_prime)
-    w = np.where(c > TOL.negligible, c / success[subset], 0.0)
-    r_total = (w @ _GENERATORS.reshape(9, 16)[subset]).reshape(4, 4)
+    subset, c = _caratheodory(_GENERATORS @ lam, lam, lam_prime)
+    c = np.where(c > TOL.negligible, c, 0.0)
+    r = (c @ _GENERATORS.reshape(9, 16)[subset]).reshape(4, 4)
     # self-check: the action reproduces the target
-    image = r_total @ lam
-    image = image / image.sum()
-    if np.abs(image - lam_prime).max() > TOL.equality:
+    if np.abs(r @ lam - lam_prime).max() > TOL.equality:
         raise NotConvertibleError("synthesized map fails to reproduce target")
-    return r_total
+    return r / 4

@@ -19,8 +19,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numerics import (TOL, NumericsError, InvalidStateError, is_hermitian,
-                       NonHermitianError, partial_transpose)
+from .numerics import (TOL, DimensionMismatchError, NumericsError,
+                       InvalidStateError, is_hermitian, NonHermitianError,
+                       partial_transpose)
 from .symmetric import assemble
 
 __all__ = [
@@ -220,7 +221,9 @@ def _leading_stack():
 
 def witness_value(witness, r):
     """<W, r> = sum_ij W[i,j] r[i,j]; equals tr of the assembled operators."""
-    W = witness.matrix if isinstance(witness, Witness) else np.asarray(witness)
+    W = np.asarray(witness.matrix if isinstance(witness, Witness) else witness)
+    if W.shape != (4, 4):
+        raise DimensionMismatchError("witness must be 4x4")
     return float(np.sum(W * _rmatrix_array(r)))
 
 

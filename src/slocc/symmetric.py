@@ -14,7 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from .bell import BELL_VECTORS, PAULI_I, PAULI_X, PAULI_Z
-from .numerics import NonHermitianError, NumericsError, is_hermitian
+from .numerics import (DimensionMismatchError, NonHermitianError,
+                       NumericsError, is_hermitian)
 
 
 class UnsupportedPairError(NumericsError):
@@ -40,6 +41,8 @@ def project_to_commutant(rho):
     without warning.
     """
     rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (16, 16):
+        raise DimensionMismatchError("expected a 16x16 operator")
     if not is_hermitian(rho):
         raise NonHermitianError("input to project_to_commutant not Hermitian")
     # the diagonal of rho in the product Bell basis

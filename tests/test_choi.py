@@ -33,8 +33,9 @@ def test_apply_map_annihilation():
     rho = np.kron(np.outer(ket, ket), np.eye(2) / 2)
     with pytest.raises(AnnihilatedError):
         apply_map_density(m, rho)
-    with pytest.raises(AnnihilatedError):
-        cj_rmatrix(SeparableMap(kraus=[]))
+    for refuse in (cj_rmatrix, SeparableMap.normalize):
+        with pytest.raises(AnnihilatedError):
+            refuse(SeparableMap(kraus=[]))
     # a NaN success weight is refused, not returned
     with pytest.raises(InvalidStateError, match="non-finite r-matrix"):
         map_action_bd(np.full((4, 4), np.nan), [0.7, 0.1, 0.1, 0.1])
@@ -50,10 +51,10 @@ def test_map_action_bd_examples():
     lam = np.array([0.7, 0.1, 0.1, 0.1])
     out, w = map_action_bd(D0, lam)
     assert np.abs(out - lam).max() < 1e-12
-    assert abs(w - 0.25) < 1e-12
+    assert abs(w - 1.0) < 1e-12
     out, w = map_action_bd(G0, lam)
     assert np.abs(out - [0.5, 0.5, 0, 0]).max() < 1e-12
-    assert abs(w - 0.25 * 0.8 * 2) < 1e-12  # proportional to lam1 + lam2
+    assert abs(w - 0.8) < 1e-12  # lam1 + lam2
     # r need not sum to 1, but it must be 4x4, finite and nonnegative
     out, w = map_action_bd(4 * D0, lam)
     assert np.abs(out - lam).max() < 1e-12 and abs(w - 1.0) < 1e-12
@@ -118,13 +119,15 @@ def test_channel_from_cj_matches_kraus_action():
 
 def test_dual_action_consistent_with_rmatrix_action():
     # the commutant projection of the dual acts on Bell weights exactly as
-    # the full map acts on the Bell-diagonal density matrix
+    # the full map acts on the Bell-diagonal density matrix, with the same
+    # success probability
     lam = np.array([0.7, 0.1, 0.1, 0.1])
-    for v in (D0, G0):
+    for v in vertex_set():
         m = kraus_for_vertex(v)
         out_rho, w_rho = apply_map_density(m, weights_to_density(lam))
-        out_lam, _ = map_action_bd(cj_rmatrix(m), lam)
+        out_lam, w_lam = map_action_bd(cj_rmatrix(m), lam)
         assert np.abs(out_rho - weights_to_density(out_lam)).max() < 1e-10
+        assert abs(w_lam - w_rho) < 1e-12 and w_lam <= 1.0
 
 
 def test_rho_nd_spectrum():

@@ -97,6 +97,21 @@ def test_convert_yes_with_replay(worked_pair, capsys):
     assert np.abs(image - [0.6, 0.2, 0.1, 0.1]).max() < 1e-10
 
 
+def test_convert_certificate_goes_back_into_the_cli(worked_pair, tmp_path,
+                                                    capsys):
+    # the printed r-matrix is a unit-sum dual state, so apply-map and
+    # separable read it as it stands
+    src, dst = worked_pair
+    assert main(["--json", "convert", src, dst]) == 0
+    r = json.loads(capsys.readouterr().out)["rmatrix"]
+    rf = _write(tmp_path, "r.json", {"kind": "rmatrix", "r": r})
+    assert main(["apply-map", rf, src]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "weights: 0.6 0.2 0.1 0.1" in out and "success weight: 1" in out
+    assert main(["separable", rf]) == 0
+    assert capsys.readouterr().out.startswith("SEPARABLE")
+
+
 def test_convert_no_cites_e1(worked_pair, capsys):
     src, dst = worked_pair
     assert main(["convert", dst, src]) == 1
@@ -309,7 +324,7 @@ def test_apply_map_g0(tmp_path, capsys):
     assert main(["apply-map", rf, sf]) == 0
     out = capsys.readouterr().out
     assert "weights: 0.5 0.5 0 0" in out
-    assert "success weight: 0.4" in out
+    assert "success weight: 0.8" in out
 
 
 def test_parse_errors_exit_2(tmp_path, capsys):

@@ -175,7 +175,9 @@ def test_synthesized_map_lies_in_separable_cone():
         r = synthesize_map(lam, lam_p)
         image, _ = map_action_bd(r, lam)
         assert np.abs(image - lam_p).max() < 1e-10
-        assert isinstance(is_separable(r / r.sum()), ConvexDecomposition)
+        # the unit-sum dual state of a trace-preserving map
+        assert np.abs(r.sum(axis=0) - 0.25).max() <= 1e-15
+        assert isinstance(is_separable(r), ConvexDecomposition)
         checked += 1
 
 
@@ -198,27 +200,28 @@ def test_yes_solves_no_lp(monkeypatch):
 
 
 def test_generating_maps_are_separable_vertices():
-    # a YES map is a nonnegative combination of these nine, so each being an
-    # element of vertex_set() is its separability certificate
+    # a YES r is a convex combination of quarters of these nine, so each
+    # quarter being in vertex_set() (or the mean of two) is its separability
+    # certificate, and column sums 1 make the map trace-preserving
     vertices = {v.tobytes() for v in vertex_set()}
     maps = slocc.convert._GENERATORS
     assert maps.shape == (9, 4, 4) and not maps.flags.writeable
+    assert (maps.sum(axis=1) == 1.0).all()
     for r in maps:
-        assert r.tobytes() in vertices
+        quarter = r / 4
+        assert quarter.tobytes() in vertices or any(
+            ((a + b) / 2 == quarter).all()
+            for a in vertex_set() for b in vertex_set())
     # their images of lam are the vertices of P_lam: the tail permutations
-    # lam[perm] with success weight 1/4, and (e_1 + e_i)/2 with success
-    # weight (lam_1 + lam_2)/2
+    # lam[perm] and the half-half mixtures (e_1 + e_i)/2
     rng = np.random.default_rng(12)
+    half = np.zeros((3, 4))
+    half[:, 0] = 0.5
+    half[:, 1:] = 0.5 * np.eye(3)
     for _ in range(200):
         lam = _random_ordered_entangled(rng)
-        verts, success = slocc.convert._labelled_vertices(lam)
-        half = np.zeros((3, 4))
-        half[:, 0] = 0.5
-        half[:, 1:] = 0.5 * np.eye(3)
-        assert np.abs(verts - np.vstack((lam[slocc.convert._TAIL_PERMS],
-                                         half))).max() <= 4e-16
-        expected = np.array([0.25] * 6 + [(lam[0] + lam[1]) / 2.0] * 3)
-        assert np.abs(success - expected).max() <= 4e-16
+        assert np.abs(maps @ lam - np.vstack((lam[slocc.convert._TAIL_PERMS],
+                                              half))).max() <= 4e-16
 
 
 @pytest.mark.parametrize("t", [5e-10, 2e-10, 1e-10, 2e-11])

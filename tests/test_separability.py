@@ -10,7 +10,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import slocc.separability
-from slocc.numerics import TOL, convex_membership, partial_transpose
+from slocc.numerics import (TOL, DimensionMismatchError, convex_membership,
+                            partial_transpose)
 from slocc.separability import (CANONICAL_WITNESSES, CertificateMismatchError,
                                 ConvexDecomposition, D0, G0,
                                 InvalidStateError, ViolatedWitness,
@@ -157,6 +158,10 @@ def test_witness_value_examples():
     for bad in ([0.25] * 4, np.ones((1, 4)), np.ones((4, 4, 1)), 0.5):
         with pytest.raises(InvalidStateError, match="4x4"):
             witness_value(CANONICAL_WITNESSES["W1"], bad)
+    # so is a witness that is not 4x4
+    for bad in (np.ones(4), np.ones((4, 4, 1))):
+        with pytest.raises(DimensionMismatchError, match="4x4"):
+            witness_value(bad, D0)
 
 
 def test_validate_rmatrix():

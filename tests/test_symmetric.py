@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from slocc.bell import BELL_PROJECTORS
-from slocc.numerics import NonHermitianError
+from slocc.numerics import DimensionMismatchError, NonHermitianError
 from slocc.symmetric import (UnsupportedPairError, assemble,
                              bell_permutation_factors, project_to_commutant,
                              swap_factors)
@@ -46,6 +46,9 @@ def test_project_requires_hermitian():
     bad[0, 1] = 1.0
     with pytest.raises(NonHermitianError):
         project_to_commutant(bad)
+    # a Hermitian operator that is not 16x16 is refused, not broadcast
+    with pytest.raises(DimensionMismatchError):
+        project_to_commutant(np.eye(4))
 
 
 def test_projection_is_a_twirl():
