@@ -34,10 +34,14 @@ class BOutOfRangeError(NumericsError):
     pass
 
 
-def _finite(kraus):
-    """Kraus operators, or Choi vectors, as one complex array; a non-finite
-    entry raises InvalidStateError, not a failure of the eigensolver."""
-    kraus = np.asarray(kraus, dtype=complex)
+def _kraus(sep_map):
+    """The Kraus pairs as one complex (n, 2, 2, 2) array.  A factor that is
+    not 2x2 raises DimensionMismatchError and a non-finite entry
+    InvalidStateError, instead of a numpy error or a wrong answer."""
+    factors = [np.asarray(f, dtype=complex) for p in sep_map.kraus for f in p]
+    if [f.shape for f in factors] != [(2, 2)] * (2 * len(sep_map.kraus)):
+        raise DimensionMismatchError("Kraus factors must be 2x2 pairs")
+    kraus = np.reshape(factors, (-1, 2, 2, 2))
     if not np.isfinite(kraus).all():
         raise InvalidStateError("non-finite Kraus operator")
     return kraus
@@ -70,12 +74,11 @@ class SeparableMap:
     scale: float = 1.0
 
     def combined(self):
-        return [kron(A, B) for A, B in self.kraus]
+        return [kron(A, B) for A, B in _kraus(self)]
 
     def normalize(self):
         # the zero start keeps S 4x4 for an empty Kraus list
-        S = sum((K.conj().T @ K for K in _finite(self.combined())),
-                np.zeros((4, 4)))
+        S = sum((K.conj().T @ K for K in self.combined()), np.zeros((4, 4)))
         s = float(np.linalg.eigvalsh(S).max())
         if not s > 0:
             raise AnnihilatedError("map has no Kraus content")
@@ -87,6 +90,8 @@ class SeparableMap:
 def apply_map_density(sep_map, rho):
     """(normalized output, success weight tr sigma) of the Kraus action."""
     rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (4, 4):
+        raise DimensionMismatchError(f"expected a 4x4 state, got {rho.shape}")
     sigma = np.zeros_like(rho)
     for K in sep_map.combined():
         sigma += K @ rho @ K.conj().T
@@ -122,8 +127,8 @@ def cj_state(sep_map):
     state sums the projectors onto the Choi vectors kron(A.ravel(),
     B.ravel()): manifestly separable across the A|B cut for any Kraus list.
     """
-    K = _finite([np.kron(np.ravel(A), np.ravel(B))
-                 for A, B in sep_map.kraus]).reshape(-1, 16)
+    K = np.array([np.kron(A.ravel(), B.ravel())
+                  for A, B in _kraus(sep_map)]).reshape(-1, 16)
     return K.T @ K.conj()
 
 

@@ -10,10 +10,11 @@ triple
     E2 = (1 - 2 lam_2) / (lam_3 + lam_4)
     E3 = (1 - 2 lam_2 - 2 lam_3) / lam_4
 
-Conversion lam -> lam' is possible iff every E_i is non-increasing.  Ratios
-are kept as (numerator, denominator) pairs and compared by
-cross-multiplication, so vanishing denominators (pure Bell states) need no
-special casing.
+Conversion lam -> lam' is possible iff every E_i is non-increasing, that is
+iff lam' satisfies those three facets.  Ratios are kept as (numerator,
+denominator) pairs and compared by cross-multiplication, so vanishing
+denominators (pure Bell states) need no special casing; `_slacks` states the
+three sign tests once, for the decision and for `facet_inequalities`.
 
 A YES comes with the dual state of a deterministic LOCC map that realizes
 it (`synthesize_map`); `lp_oracle_membership` is the independent oracle.
@@ -26,8 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bell import (_exceeds_half, is_ordered, validate_weights,
-                   weights_to_coords)
+from .bell import _exceeds_half, is_ordered, validate_weights
 from .numerics import TOL, NumericsError, convex_membership
 
 
@@ -45,31 +45,16 @@ class NotConvertibleError(NumericsError):
 
 @dataclass(frozen=True, slots=True)
 class MonotoneTriple:
-    """E1 and the (numerator, denominator) pairs of E2 and E3, both >= 0.
-
-    The five numbers are stored flat and `e2`, `e3` read them back as pairs.
-    """
+    """E1 and the (numerator, denominator) pairs of E2 and E3, all >= 0."""
 
     e1: float
-    e2_num: float
-    e2_den: float
-    e3_num: float
-    e3_den: float
-
-    @property
-    def e2(self):
-        return self.e2_num, self.e2_den
-
-    @property
-    def e3(self):
-        return self.e3_num, self.e3_den
+    e2: tuple[float, float]
+    e3: tuple[float, float]
 
     def as_floats(self):
         """Decimal view; zero denominators map to +inf."""
-        def f(pair):
-            n, d = pair
-            return n / d if d > 0 else float("inf")
-        return self.e1, f(self.e2), f(self.e3)
+        return self.e1, *(n / d if d > 0 else float("inf")
+                          for n, d in (self.e2, self.e3))
 
 
 def _require_ordered_entangled(lam):
@@ -91,8 +76,8 @@ def monotones(lam):
 
 def _monotones(lam):
     l1, l2, l3, l4 = lam
-    return MonotoneTriple(float(l1), float(1 - 2 * l2), float(l3 + l4),
-                          float(1 - 2 * l2 - 2 * l3), float(l4))
+    return MonotoneTriple(float(l1), (float(1 - 2 * l2), float(l3 + l4)),
+                          (float(1 - 2 * l2 - 2 * l3), float(l4)))
 
 
 def ratio_geq(a, b):
@@ -100,6 +85,17 @@ def ratio_geq(a, b):
     an, ad = a
     bn, bd = b
     return an * bd >= bn * ad
+
+
+def _slacks(lam, lam_prime):
+    """The signed slacks E_k(lam) - E_k(lam') of the three monotones, E2 and
+    E3 cross-multiplied as ratio_geq compares them.  Slack k is >= 0 exactly
+    when lam' satisfies facet k of P_lam (for finite floats a - b >= 0
+    exactly when a >= b), so these are the decision's three sign tests."""
+    m, m_p = _monotones(lam), _monotones(lam_prime)
+    (n2, d2), (n3, d3) = m.e2, m.e3
+    (p2, q2), (p3, q3) = m_p.e2, m_p.e3
+    return m.e1 - m_p.e1, n2 * q2 - p2 * d2, n3 * q3 - p3 * d3
 
 
 @dataclass(frozen=True, slots=True)
@@ -117,9 +113,10 @@ class Decision:
             return np.frombuffer(self.rmatrix_bytes).reshape(4, 4)
 
 
+_MONOTONES = ("E1", "E2", "E3")
 # every answer without a map is one shared constant: a NO allocates nothing
 _NO = {name: Decision(False, f"{name} increases from source to target", name)
-       for name in ("E1", "E2", "E3")}
+       for name in _MONOTONES}
 _TARGET_SEPARABLE = Decision(True, "target separable")
 _SOURCE_SEPARABLE = Decision(False, "separable source, entangled target")
 
@@ -143,14 +140,9 @@ def can_convert_bd(lam, lam_prime, with_map=True):
     """
     lam = _require_ordered_entangled(lam)
     lam_prime = _require_ordered_entangled(lam_prime)
-    m_src = _monotones(lam)
-    m_dst = _monotones(lam_prime)
-    if not m_src.e1 >= m_dst.e1:
-        return _NO["E1"]
-    if not ratio_geq(m_src.e2, m_dst.e2):
-        return _NO["E2"]
-    if not ratio_geq(m_src.e3, m_dst.e3):
-        return _NO["E3"]
+    for name, slack in zip(_MONOTONES, _slacks(lam, lam_prime)):
+        if slack < 0:
+            return _NO[name]
     rmat = _synthesize_map(lam, lam_prime).tobytes() if with_map else None
     return Decision(convertible=True, reason="all monotones non-increasing",
                     rmatrix_bytes=rmat)
@@ -196,45 +188,37 @@ def lp_oracle_membership(lam, lam_prime):
 
 @dataclass(frozen=True)
 class FacetInequalities:
+    """The three facets of P_lam through lam, read at lam' as (the paper's
+    form, whether lam' satisfies the facet).  The flag is the sign of the
+    slack s_k that can_convert_bd tests; for unit-sum weights the form is
+    its affine image F1 = lam_1 - s_1, F2 = 1 - 2 s_2 / (lam_1 - lam_2) or
+    F3 = 1 - 4 s_3 / (1 - 2 lam_2 - 2 lam_3), positive denominators when
+    lam_1 > 1/2."""
+
     lam: np.ndarray
-    f2_degenerate: bool   # lam_1 == lam_2: coordinate form undefined
-    f3_degenerate: bool   # 1 == 2 lam_2 + 2 lam_3
+
+    def _form(self, k, lam_prime, offset, scale):
+        slack = _slacks(self.lam, validate_weights(lam_prime))[k]
+        return float(offset - scale * slack), slack >= 0
 
     def f1(self, lam_prime):
         """lam'_1 <= lam_1 (constant-leading-weight facet)."""
-        lam_prime = validate_weights(lam_prime)
-        lhs = float(lam_prime[0])
-        return lhs, lhs <= self.lam[0] + TOL.tie
+        return self._form(0, lam_prime, self.lam[0], 1)
 
     def f2(self, lam_prime):
         """Coordinate form: ((l3+l4)/(l1-l2)) (<xx> - <yy>) + <zz> <= 1."""
-        lam_prime = validate_weights(lam_prime)
-        xx, yy, zz = -weights_to_coords(lam_prime)  # plain expectations
-        l1, l2, l3, l4 = self.lam
-        if self.f2_degenerate:
-            raise ZeroDivisionError("F2 coordinate form degenerate: l1 == l2")
-        lhs = (l3 + l4) / (l1 - l2) * (xx - yy) + zz
-        return float(lhs), lhs <= 1 + TOL.tie
+        l1, l2, _, _ = self.lam.tolist()
+        return self._form(1, lam_prime, 1, 2 / (l1 - l2))
 
     def f3(self, lam_prime):
         """Coordinate form: <xx> + <zz> - ((1-2l1+2l4)/(1-2l2-2l3)) <yy> <= 1."""
-        lam_prime = validate_weights(lam_prime)
-        xx, yy, zz = -weights_to_coords(lam_prime)
-        l1, l2, l3, l4 = self.lam
-        if self.f3_degenerate:
-            raise ZeroDivisionError("F3 coordinate form degenerate")
-        lhs = xx + zz - (1 - 2 * l1 + 2 * l4) / (1 - 2 * l2 - 2 * l3) * yy
-        return float(lhs), lhs <= 1 + TOL.tie
+        _, l2, l3, _ = self.lam.tolist()
+        return self._form(2, lam_prime, 1, 4 / (1 - 2 * l2 - 2 * l3))
 
 
 def facet_inequalities(lam):
     """Evaluators for the three facets of the reachable polytope at lam."""
-    lam = _require_ordered_entangled(lam)
-    return FacetInequalities(
-        lam=lam,
-        f2_degenerate=bool(abs(lam[0] - lam[1]) <= TOL.tie),
-        f3_degenerate=bool(abs(1 - 2 * lam[1] - 2 * lam[2]) <= TOL.tie),
-    )
+    return FacetInequalities(_require_ordered_entangled(lam))
 
 
 def _caratheodory(verts, lam, lam_prime):

@@ -62,8 +62,7 @@ class Tolerances:
                    (duplicates from tied weights, or coplanar)
     tie         -- absolute slack at which two weights, or a weight and a
                    bound, count as equal: ties in a descending order, lam_1
-                   at 1/2, degenerate facet forms, a point on a facet,
-                   coinciding vertices of a reachable polytope, vertex
+                   at 1/2, coinciding vertices of a reachable polytope, vertex
                    entries at 0 or 1/4, a weight or r-matrix entry (or a
                    witness value re-checked by the CLI) at 0, and successive
                    see-saw values at convergence
@@ -71,8 +70,8 @@ class Tolerances:
                    left out of a synthesized map, or the success weight of a
                    map that annihilates its input
     blowup      -- smallest marginal eigenvalue that filter_iteration still
-                   inverts; below it the filter blows up (rank-deficient
-                   class)
+                   inverts; below it the filter blows up (a rank-deficient
+                   marginal)
     solver      -- slack of a re-check on a computed answer: the facet
                    walk's decomposition rebuilt from its weights, and the
                    see-saw minimum of a valid witness over product states
@@ -142,8 +141,9 @@ def partial_trace(M, dims, keep):
     M, dims = _check_dims(M, dims)
     n = len(dims)
     keep = sorted(keep)
-    if any(not 0 <= k < n for k in keep):
-        raise DimensionMismatchError("kept subsystem index out of range")
+    if any(not 0 <= k < n for k in keep) or len(set(keep)) < len(keep):
+        raise DimensionMismatchError(
+            f"kept subsystems {keep} must be distinct indices below {n}")
     T = M.reshape(dims + dims)
     traced = 0
     for sys in range(n):

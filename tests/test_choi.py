@@ -45,6 +45,15 @@ def test_apply_map_annihilation():
     for refuse in (cj_rmatrix, SeparableMap.normalize):
         with pytest.raises(InvalidStateError, match="non-finite Kraus"):
             refuse(nan_map)
+    # Kraus factors that are not 2x2, and a state that is not 4x4, are
+    # refused before numpy reshapes or multiplies them
+    wide = SeparableMap(kraus=[(np.eye(4), np.eye(4))])
+    for refuse in (cj_rmatrix, SeparableMap.normalize,
+                   lambda w: apply_map_density(w, rho)):
+        with pytest.raises(DimensionMismatchError, match="2x2"):
+            refuse(wide)
+    with pytest.raises(DimensionMismatchError, match="4x4 state"):
+        apply_map_density(m, np.eye(3) / 3)
 
 
 def test_map_action_bd_examples():

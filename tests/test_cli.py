@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import slocc
-from slocc.bell import BELL_VECTORS
+from slocc.bell import BELL_VECTORS, weights_to_density
 from slocc.choi import rho_nd
 from slocc.cli import _selfcheck_items, main
 from slocc.numerics import TOL
@@ -316,6 +316,21 @@ def test_normal_form_nd(tmp_path, capsys):
     assert "NDClass b=0.300" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("rho, lines, data", [
+    (weights_to_density([0.7, 0.1, 0.1, 0.1]),
+     ["class: BellDiagonal", "lambda: 0.7 0.1 0.1 0.1"],
+     {"class": "BellDiagonal",
+      "lambda": pytest.approx([0.7, 0.1, 0.1, 0.1], abs=1e-12)}),
+    (np.eye(4) / 4, ["class: Separable"], {"class": "Separable"}),
+], ids=["bell-diagonal", "separable"])
+def test_normal_form_classes(tmp_path, capsys, rho, lines, data):
+    f = _density_file(tmp_path, "rho.json", rho)
+    assert main(["normal-form", f]) == 0
+    assert capsys.readouterr().out.splitlines() == lines
+    assert main(["--json", "normal-form", f]) == 0
+    assert json.loads(capsys.readouterr().out) == data
+
+
 def test_apply_map_g0(tmp_path, capsys):
     g0 = np.zeros((4, 4))
     g0[:2, :2] = 0.25
@@ -337,6 +352,28 @@ def test_parse_errors_exit_2(tmp_path, capsys):
     assert main(["monotones", nan]) == 2
     wrongkind = _write(tmp_path, "wk.json", {"kind": "mystery"})
     assert main(["monotones", wrongkind]) == 2
+
+
+@pytest.mark.parametrize("argv, bad, message", [
+    (["separable", "w"], "w", "'separable' expects kind 'rmatrix'"),
+    (["normal-form", "w"], "w", "'normal-form' expects kind 'density'"),
+    (["apply-map", "w", "w"], "w", "'apply-map' expects kind 'rmatrix'"),
+    (["monotones", "r"], "r", "kind 'rmatrix' not usable as Bell weights"),
+    (["convert", "r", "w"], "r", "kind 'rmatrix' not usable as Bell weights"),
+    (["convert", "w", "r"], "r", "kind 'rmatrix' not usable as Bell weights"),
+    (["monotones", "a"], "a", "expected an object with a 'kind' field"),
+], ids=["separable-weights", "normal-form-weights", "apply-map-weights",
+        "monotones-rmatrix", "convert-from-rmatrix", "convert-to-rmatrix",
+        "json-array"])
+def test_wrong_kind_exit_2(tmp_path, capsys, argv, bad, message):
+    files = {"w": _weights_file(tmp_path, "w.json", [0.7, 0.1, 0.1, 0.1]),
+             "r": _write(tmp_path, "r.json",
+                         {"kind": "rmatrix", "r": D0.tolist()}),
+             "a": _write(tmp_path, "a.json", [0.7, 0.1, 0.1, 0.1])}
+    assert main([files.get(a, a) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {files[bad]}: {message}\n"
 
 
 _DENSITY = [[[0.25, 0.0] if i == j else [0.0, 0.0] for j in range(4)]

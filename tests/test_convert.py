@@ -7,7 +7,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import slocc.convert
-from slocc.bell import InvalidWeightsError, weights_to_density
+from slocc.bell import (InvalidWeightsError, weights_to_coords,
+                        weights_to_density)
 from slocc.choi import map_action_bd
 from slocc.cli import _random_ordered_entangled
 from slocc.convert import (NotConvertibleError, NotEntangledError,
@@ -18,7 +19,7 @@ from slocc.convert import (NotConvertibleError, NotEntangledError,
 from slocc.normal_form import can_convert_two_qubit
 from slocc.numerics import TOL
 from slocc.separability import ConvexDecomposition, is_separable, vertex_set
-from test_acceptance import _near_facet_pair
+from test_acceptance import _facet_saturating_vertices, _near_facet_pair
 
 LAM = np.array([0.7, 0.1, 0.1, 0.1])
 LAM_P = np.array([0.6, 0.2, 0.1, 0.1])
@@ -150,14 +151,59 @@ def test_facets_saturate_at_source():
 
 def test_facet_denominators_never_degenerate_when_entangled():
     # lam_1 > 1/2 forces lam_1 > lam_2 and 2(lam_2 + lam_3) < 1, so both
-    # coordinate forms are well defined on every valid input
+    # coordinate forms are finite on every valid input
     rng = np.random.default_rng(52)
     for _ in range(50):
         lam = np.sort(rng.dirichlet(np.ones(4)))[::-1]
         lam[0] = max(lam[0], 0.5 + 1e-6)
         lam[1:] *= (1 - lam[0]) / lam[1:].sum()
         f = facet_inequalities(lam)
-        assert not f.f2_degenerate and not f.f3_degenerate
+        for lam_p in (lam, rng.dirichlet(np.ones(4))):
+            assert np.isfinite(f.f2(lam_p)[0]) and np.isfinite(f.f3(lam_p)[0])
+
+
+def test_facet_forms_match_the_coordinate_formulas():
+    # the forms are computed from the monotone slacks; the paper's
+    # coordinate expressions stay the independent check of their values
+    rng = np.random.default_rng(58)
+    for _ in range(500):
+        lam = _random_ordered_entangled(rng, floor=0.55)
+        lam_p = rng.dirichlet(np.ones(4))
+        l1, l2, l3, l4 = lam
+        xx, yy, zz = -weights_to_coords(lam_p)  # plain expectations
+        f = facet_inequalities(lam)
+        assert f.f1(lam_p)[0] == pytest.approx(lam_p[0], abs=1e-12)
+        assert f.f2(lam_p)[0] == pytest.approx(
+            (l3 + l4) / (l1 - l2) * (xx - yy) + zz, abs=1e-12)
+        assert f.f3(lam_p)[0] == pytest.approx(
+            xx + zz - (1 - 2 * l1 + 2 * l4) / (1 - 2 * l2 - 2 * l3) * yy,
+            abs=1e-12)
+
+
+def test_facet_flags_agree_with_the_decision_on_facets():
+    # lam' a mixture of the vertices saturating one facet, tail sorted: on
+    # the facet in exact arithmetic, so rounding alone picks YES or NO, and
+    # the flags must pick the same, naming the same monotone on a NO
+    rng = np.random.default_rng(59)
+    answers = {True: 0, False: 0}
+    while sum(answers.values()) < 600:
+        lam = _random_ordered_entangled(rng, floor=0.55)
+        sat = _facet_saturating_vertices(lam)[int(rng.integers(1, 4))]
+        if len(sat) < 2:
+            continue
+        p = rng.dirichlet(np.ones(len(sat))) @ np.asarray(sat)
+        lam_p = np.concatenate(([p[0]], np.sort(p[1:])[::-1]))
+        if lam_p[0] <= 0.5 + 1e-6:
+            continue
+        d = can_convert_bd(lam, lam_p, with_map=False)
+        f = facet_inequalities(lam)
+        flags = [f.f1(lam_p)[1], f.f2(lam_p)[1], f.f3(lam_p)[1]]
+        assert all(flags) == d.convertible
+        if not d.convertible:
+            assert ("E1", "E2", "E3")[flags.index(False)] == \
+                d.violated_monotone
+        answers[d.convertible] += 1
+    assert min(answers.values()) > 0
 
 
 def test_synthesized_map_lies_in_separable_cone():

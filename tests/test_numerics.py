@@ -60,6 +60,8 @@ def test_partial_trace_product_state():
 def test_partial_trace_dimension_check():
     with pytest.raises(DimensionMismatchError):
         partial_trace(np.eye(5), (2, 2), keep=(0,))
+    with pytest.raises(DimensionMismatchError):
+        partial_trace(np.eye(4) / 4, (2, 2), keep=(0, 0))
 
 
 def test_convex_membership_inside_certificate():
