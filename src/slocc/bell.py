@@ -144,5 +144,7 @@ def is_entangled_bd(lam):
 
 
 def _exceeds_half(lam):
-    """is_entangled_bd for an already validated weight vector."""
-    return bool(lam.max() > 0.5 + TOL.tie)
+    """is_entangled_bd for an already validated weight vector, as the largest
+    weight beyond half the sum, which is 1 up to rounding."""
+    w = lam.tolist()
+    return max(w) - sum(w) / 2 > TOL.tie

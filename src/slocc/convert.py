@@ -14,10 +14,15 @@ Conversion lam -> lam' is possible iff every E_i is non-increasing, that is
 iff lam' satisfies those three facets.  Ratios are kept as (numerator,
 denominator) pairs and compared by cross-multiplication, so vanishing
 denominators (pure Bell states) need no special casing; `_slacks` states the
-three sign tests once, for the decision and for `facet_inequalities`.
+three sign tests once, for the decision and for `facet_inequalities`.  The
+numerators are formed homogeneously, (lam_1 - lam_2) + (lam_3 + lam_4) and
+(lam_1 - lam_2) - (lam_3 - lam_4), so a sum off 1 by rounding cannot turn
+them negative.
 
-A YES comes with the dual state of a deterministic LOCC map that realizes
-it (`synthesize_map`); `lp_oracle_membership` is the independent oracle.
+A YES keeps the deterministic LOCC protocol that realizes it: four of the
+nine generating maps and their convex weights, from which its dual state r
+is formed (`synthesize_map`); `lp_oracle_membership` is the independent
+oracle.
 """
 
 from __future__ import annotations
@@ -57,6 +62,13 @@ class MonotoneTriple:
                           for n, d in (self.e2, self.e3))
 
 
+def _require_entangled(lam):
+    """`lam`, after checking that its largest weight exceeds half the sum."""
+    if not _exceeds_half(lam):
+        raise NotEntangledError(f"weights {lam} are separable (lam_1 <= 1/2)")
+    return lam
+
+
 def _require_ordered_entangled(lam):
     """`lam` as a checked float array: valid, sorted and entangled.  Public
     entry points call it once per vector; the private helpers below take
@@ -64,20 +76,18 @@ def _require_ordered_entangled(lam):
     lam = validate_weights(lam)
     if not is_ordered(lam):
         raise NotOrderedError(f"weights {lam} not sorted descending")
-    if not _exceeds_half(lam):
-        raise NotEntangledError(f"weights {lam} are separable (lam_1 <= 1/2)")
-    return lam
+    return _require_entangled(lam)
 
 
 def monotones(lam):
     """The complete monotone triple of an ordered entangled weight vector."""
-    return _monotones(_require_ordered_entangled(lam))
+    return MonotoneTriple(*_monotones(_require_ordered_entangled(lam)))
 
 
 def _monotones(lam):
-    l1, l2, l3, l4 = lam
-    return MonotoneTriple(float(l1), (float(1 - 2 * l2), float(l3 + l4)),
-                          (float(1 - 2 * l2 - 2 * l3), float(l4)))
+    """(E1, E2 pair, E3 pair) as Python floats, numerators homogeneous."""
+    l1, l2, l3, l4 = lam.tolist()
+    return l1, ((l1 - l2) + (l3 + l4), l3 + l4), ((l1 - l2) - (l3 - l4), l4)
 
 
 def ratio_geq(a, b):
@@ -92,25 +102,29 @@ def _slacks(lam, lam_prime):
     E3 cross-multiplied as ratio_geq compares them.  Slack k is >= 0 exactly
     when lam' satisfies facet k of P_lam (for finite floats a - b >= 0
     exactly when a >= b), so these are the decision's three sign tests."""
-    m, m_p = _monotones(lam), _monotones(lam_prime)
-    (n2, d2), (n3, d3) = m.e2, m.e3
-    (p2, q2), (p3, q3) = m_p.e2, m_p.e3
-    return m.e1 - m_p.e1, n2 * q2 - p2 * d2, n3 * q3 - p3 * d3
+    e1, (n2, d2), (n3, d3) = _monotones(lam)
+    f1, (p2, q2), (p3, q3) = _monotones(lam_prime)
+    return e1 - f1, n2 * q2 - p2 * d2, n3 * q3 - p3 * d3
 
 
 @dataclass(frozen=True, slots=True)
 class Decision:
+    """A conversion answer.  A YES built with its map keeps the protocol
+    that realizes it as 36 immutable bytes: the indices into _GENERATORS of
+    the four LOCC maps it mixes (uint8), then their convex weights
+    (float64)."""
+
     convertible: bool
     reason: str
     violated_monotone: str | None = None
-    rmatrix_bytes: bytes | None = None  # immutable; lighter than an array
+    protocol: bytes | None = None
 
     @property
     def rmatrix(self):
-        """A YES's deterministic LOCC map as its unit-sum dual state (columns
-        sum to 1/4): a read-only 4x4 array, or None."""
-        if self.rmatrix_bytes is not None:
-            return np.frombuffer(self.rmatrix_bytes).reshape(4, 4)
+        """The protocol's unit-sum dual state (columns sum to 1/4), formed
+        from its maps and weights: a read-only 4x4 array, or None."""
+        if self.protocol is not None:
+            return _protocol_rmatrix(self.protocol)
 
 
 _MONOTONES = ("E1", "E2", "E3")
@@ -136,16 +150,21 @@ def can_convert_bd(lam, lam_prime, with_map=True):
     """Decide SLOCC convertibility between ordered entangled weight vectors.
 
     Ties count as convertible (the reachable polytope is closed).  On yes,
-    attaches a realizing r-matrix; on no, names the first failing monotone.
+    attaches the protocol of a realizing map; on no, names the first failing
+    monotone.
     """
-    lam = _require_ordered_entangled(lam)
-    lam_prime = _require_ordered_entangled(lam_prime)
+    return _decide(_require_ordered_entangled(lam),
+                   _require_ordered_entangled(lam_prime), with_map)
+
+
+def _decide(lam, lam_prime, with_map=True):
+    """can_convert_bd on float arrays already sorted, non-negative, unit-sum
+    and entangled: the three slack tests, then the protocol of a YES."""
     for name, slack in zip(_MONOTONES, _slacks(lam, lam_prime)):
         if slack < 0:
             return _NO[name]
-    rmat = _synthesize_map(lam, lam_prime).tobytes() if with_map else None
     return Decision(convertible=True, reason="all monotones non-increasing",
-                    rmatrix_bytes=rmat)
+                    protocol=_protocol(lam, lam_prime) if with_map else None)
 
 
 _TAIL_PERMS = np.array([(0,) + p
@@ -212,8 +231,7 @@ class FacetInequalities:
 
     def f3(self, lam_prime):
         """Coordinate form: <xx> + <zz> - ((1-2l1+2l4)/(1-2l2-2l3)) <yy> <= 1."""
-        _, l2, l3, _ = self.lam.tolist()
-        return self._form(2, lam_prime, 1, 4 / (1 - 2 * l2 - 2 * l3))
+        return self._form(2, lam_prime, 1, 4 / _monotones(self.lam)[2][0])
 
 
 def facet_inequalities(lam):
@@ -258,7 +276,8 @@ def _caratheodory(verts, lam, lam_prime):
 
 def synthesize_map(lam, lam_prime):
     """The unit-sum dual state r of a deterministic LOCC map taking lam to
-    lam'.
+    lam': read-only, and the same bytes as the rmatrix of the YES
+    can_convert_bd returns for the pair.
 
     Writes lam' as a convex combination of four labelled vertices of the
     reachable polytope (one batched barycentric solve in the layer
@@ -269,15 +288,28 @@ def synthesize_map(lam, lam_prime):
     separable by construction.  The replay of lam' is checked within
     TOL.equality; a pair the monotones refuse raises NotConvertibleError.
     """
-    return _synthesize_map(_require_ordered_entangled(lam),
-                           _require_ordered_entangled(lam_prime))
+    return _protocol_rmatrix(_protocol(_require_ordered_entangled(lam),
+                                       _require_ordered_entangled(lam_prime)))
 
 
-def _synthesize_map(lam, lam_prime):
+def _protocol(lam, lam_prime):
+    """Decision.protocol of a YES: the four maps of _caratheodory's vertices
+    and their weights, those at or below TOL.negligible set to 0, checked by
+    replaying lam' through the r they form."""
     subset, c = _caratheodory(_GENERATORS @ lam, lam, lam_prime)
-    c = np.where(c > TOL.negligible, c, 0.0)
-    r = (c @ _GENERATORS.reshape(9, 16)[subset]).reshape(4, 4)
+    protocol = subset.astype(np.uint8).tobytes() \
+        + np.where(c > TOL.negligible, c, 0.0).tobytes()
     # self-check: the action reproduces the target
-    if np.abs(r @ lam - lam_prime).max() > TOL.equality:
+    if np.abs(4 * _protocol_rmatrix(protocol) @ lam - lam_prime).max() \
+            > TOL.equality:
         raise NotConvertibleError("synthesized map fails to reproduce target")
-    return r / 4
+    return protocol
+
+
+def _protocol_rmatrix(protocol):
+    """The read-only unit-sum dual state of a protocol: its four maps mixed
+    with its weights, over 4."""
+    maps = _GENERATORS.reshape(9, 16)[np.frombuffer(protocol, np.uint8, 4)]
+    r = (np.frombuffer(protocol, offset=4) @ maps).reshape(4, 4) / 4
+    r.setflags(write=False)
+    return r

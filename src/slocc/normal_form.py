@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bell import BELL_COORDS, PAULI_Y, PAULIS
-from .convert import _separable_endpoint, can_convert_bd
+from .convert import _decide, _require_entangled, _separable_endpoint
 from .numerics import TOL, InvalidStateError, NumericsError, partial_trace
 
 
@@ -232,8 +232,11 @@ def can_convert_two_qubit(rho, rho_prime):
 
     Yes whenever the target is separable (discard and prepare); no when the
     source is separable and the target entangled; only otherwise are both
-    reduced, in one pass, to the Bell-diagonal representatives that decide.
+    reduced, in one pass, to the Bell-diagonal representatives that decide,
+    with can_convert_bd's answers and errors.  The representatives are
+    sorted, non-negative and unit-sum by construction, so only their
+    entanglement is checked before the decision.
     """
     stack, ppt = _states((rho, rho_prime))
     return _separable_endpoint(not ppt[0], not ppt[1]) \
-        or can_convert_bd(*_lorentz_normal_forms(stack)[0])
+        or _decide(*map(_require_entangled, _lorentz_normal_forms(stack)[0]))

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -105,10 +106,81 @@ def test_answers_without_a_map_are_shared_constants():
     for decision in (first, can_convert_two_qubit(ent, sep), yes):
         with pytest.raises(dataclasses.FrozenInstanceError):
             decision.convertible = not decision.convertible
-    # a YES keeps its map as bytes: frozen all through, and comparable
+    # a YES keeps its protocol as bytes: frozen all through, and comparable
     with pytest.raises(ValueError, match="read-only"):
         yes.rmatrix[0, 0] = 1.0
     assert yes == can_convert_bd(LAM, LAM_P) and hash(yes) is not None
+
+
+def _criterion_1_yes_pairs(rng, count):
+    pairs = []
+    while len(pairs) < count:
+        lam, lam_p = (_random_ordered_entangled(rng, floor=0.5 + 1e-4),
+                      _random_ordered_entangled(rng, floor=0.5 + 1e-4))
+        if can_convert_bd(lam, lam_p, with_map=False).convertible:
+            pairs.append((lam, lam_p))
+    return pairs
+
+
+def test_yes_keeps_its_four_map_protocol():
+    # four generator indices (uint8), then their four weights (float64);
+    # r is formed from them, read-only and the bytes synthesize_map returns
+    for lam, lam_p in _criterion_1_yes_pairs(np.random.default_rng(61), 500):
+        d = can_convert_bd(lam, lam_p)
+        assert isinstance(d.protocol, bytes) and len(d.protocol) == 36
+        maps = np.frombuffer(d.protocol, np.uint8, 4)
+        weights = np.frombuffer(d.protocol, offset=4)
+        assert len(set(maps.tolist())) == 4 and maps.max() < 9
+        assert weights.min() >= 0 and abs(weights.sum() - 1) <= 1e-12
+        r = d.rmatrix
+        assert not r.flags.writeable
+        assert r.tobytes() == synthesize_map(lam, lam_p).tobytes()
+        mixed = np.tensordot(weights, slocc.convert._GENERATORS[maps], 1)
+        assert np.abs(mixed / 4 - r).max() <= 1e-16
+        again = can_convert_bd(lam, lam_p)
+        assert again == d and hash(again) == hash(d) and again is not d
+    assert can_convert_bd(LAM, LAM_P, with_map=False).protocol is None
+    assert can_convert_bd(LAM, LAM_P, with_map=False).rmatrix is None
+
+
+def test_a_kept_yes_is_small():
+    # the protocol is 36 bytes where r is 128: a kept YES, Decision and
+    # bytes together, takes 133 bytes on CPython 3.11 (225 with r's bytes)
+    pairs = _criterion_1_yes_pairs(np.random.default_rng(62), 50) * 20
+    kept = [None] * len(pairs)
+    can_convert_bd(*pairs[0])
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for k, (lam, lam_p) in enumerate(pairs):
+            kept[k] = can_convert_bd(lam, lam_p)
+        per_yes = (tracemalloc.get_traced_memory()[0] - before) / len(kept)
+    finally:
+        tracemalloc.stop()
+    assert all(d.convertible for d in kept)
+    assert per_yes <= 160
+
+
+def test_weights_summing_off_one_by_rounding():
+    # lam_1 above 1/2 but not above half the sum: separable, where the
+    # inhomogeneous numerators read -6e-11 over a zero denominator
+    lam = [0.5 + 3e-11, 0.5 + 3e-11, 0.0, 0.0]
+    for refuse in (monotones, facet_inequalities,
+                   lambda x: can_convert_bd(x, LAM),
+                   lambda x: can_convert_bd(LAM, x)):
+        with pytest.raises(NotEntangledError):
+            refuse(lam)
+    # sum 1 + 1e-10, entangled: 1 - 2 lam_2 - 2 lam_3 reads -7.8e-11, the
+    # homogeneous E3 numerator 2.1e-11
+    lam = np.array([0.5 + 6e-11, 0.3, 0.2 + 3.9e-11, 0.0])
+    assert abs(lam.sum() - 1 - 1e-10) <= 1e-12
+    m = monotones(lam)
+    assert min(m.e2 + m.e3) >= 0 and m.e3[0] > 0
+    f = facet_inequalities(lam)
+    assert lam[0] - lam[1] > 0
+    assert [f.f1(lam), f.f2(lam), f.f3(lam)] == \
+        [(lam[0], True), (1.0, True), (1.0, True)]
+    assert can_convert_bd(lam, lam).convertible
 
 
 @pytest.mark.parametrize("name, src, dst", NO_PAIRS)

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import slocc.normal_form
 from slocc.bell import weights_to_density
 from slocc.choi import rho_nd, rho_nd_prime
-from slocc.convert import _separable_endpoint, can_convert_bd, monotones
+from slocc.convert import (NotEntangledError, _separable_endpoint,
+                           can_convert_bd, monotones)
 from slocc.normal_form import (InvalidStateError, SeparableInputError,
                                _lorentz_normal_forms, _states, bd_equivalent,
                                can_convert_two_qubit, classify, concurrence,
@@ -391,7 +393,28 @@ def test_pair_decision_matches_classify_of_each_state():
             want = _separable_endpoint(src.kind != "separable",
                                        dst.kind != "separable") \
                 or can_convert_bd(src.weights, dst.weights)
-            assert _answer(can_convert_two_qubit(rho, rho_p)) == _answer(want)
+            got = can_convert_two_qubit(rho, rho_p)
+            assert _answer(got) == _answer(want)
+            # the hand-off skips the validation, not the map: same r bytes
+            assert (got.rmatrix is None) == (want.rmatrix is None)
+            if want.rmatrix is not None:
+                assert got.rmatrix.tobytes() == want.rmatrix.tobytes()
+
+
+@pytest.mark.parametrize("side", [0, 1])
+def test_pair_refuses_a_representative_at_one_half(monkeypatch, side):
+    # the representatives reach the decision unvalidated, but not
+    # unchecked: lambda_1 = 1/2 raises as can_convert_bd does
+    rows = np.array([[0.7, 0.1, 0.1, 0.1]] * 2)
+    rows[side] = [0.5, 0.3, 0.2, 0.0]
+    monkeypatch.setattr(slocc.normal_form, "_lorentz_normal_forms",
+                        lambda stack: (rows, np.zeros(2, dtype=bool)))
+    with pytest.raises(NotEntangledError) as want:
+        can_convert_bd(*rows)
+    rho = weights_to_density([0.7, 0.1, 0.1, 0.1])
+    with pytest.raises(NotEntangledError) as got:
+        can_convert_two_qubit(rho, rho)
+    assert str(got.value) == str(want.value)
 
 
 def test_stacked_normal_form_rows_match_classify():
