@@ -66,7 +66,9 @@ def validate_weights(lam):
         raise InvalidWeightsError("weight vector must have 4 components")
     # negated comparisons, so a NaN entry fails them
     if not lam.min() >= -TOL.tie:
-        raise InvalidWeightsError(f"negative weight {lam.min()}")
+        low = lam.min()
+        kind = "non-finite" if np.isnan(low) else "negative"
+        raise InvalidWeightsError(f"{kind} weight {low}")
     if not abs(lam.sum() - 1.0) <= TOL.equality:
         raise InvalidWeightsError(f"weights sum to {lam.sum()}, expected 1")
     return lam

@@ -200,9 +200,18 @@ def plambda_vertices(lam):
 
 def lp_oracle_membership(lam, lam_prime):
     """Independent decision: is lam' in the reachable polytope of lam?  The
-    convex_membership LP over plambda_vertices(lam)."""
+    convex_membership LP over plambda_vertices(lam), in the affine chart
+    (t, x_2, x_3) of the unit-sum plane, t = (x_1 - 1/2)/(lam_1 - 1/2).
+
+    The vertices sit at t in {0, 1}, so a polytope thin along x_1 (lam_1
+    just above 1/2) is not thinner than the solver's absolute tolerance.
+    """
     lam_prime = validate_weights(lam_prime)
-    return convex_membership(plambda_vertices(lam), lam_prime) is not None
+    V = plambda_vertices(lam)  # V[0] is lam itself
+    origin = np.array([0.5, 0.0, 0.0])
+    scale = np.array([1 / (V[0, 0] - 0.5), 1.0, 1.0])
+    return convex_membership((V[:, :3] - origin) * scale,
+                             (lam_prime[:3] - origin) * scale) is not None
 
 
 @dataclass(frozen=True)

@@ -188,12 +188,12 @@ def witness_orbit():
     as valid as its original; W0 and W1 need none (their orbits already are).
     Scan order is cheapest-first: W0 (positivity), W1 (PPT), then W2..W4,
     then the transposed W2..W4, each family's orbit in _orbit's order.
-    is_separable scans in two stages: the 32 leading W0 and W1 witnesses
-    first, and all 1280 only when none of those is violated.  Every witness
-    is a facet: its zero set on the vertices has affine rank 15.  The W0
-    rows never report a violation (validate_rmatrix rejects a negative entry
-    first), but their facets r_ij = 0 are ones the facet walk of
-    is_separable needs to reach a vertex.
+    is_separable scans in two stages: the 16 W1 (PPT) witnesses first, and
+    all 1280 only when none of those is violated.  Positivity is
+    validate_rmatrix's job: it rejects an entry below -TOL.tie, so no W0
+    row can report a violation.  Every witness is a facet: its zero set on
+    the vertices has affine rank 15, and the W0 facets r_ij = 0 are ones
+    the facet walk of is_separable needs to reach a vertex.
     """
     return tuple(Witness(matrix=w, family=family, row_perm=rp, col_perm=cp,
                          transposed=transposed)
@@ -212,11 +212,11 @@ def _witness_stack():
 
 
 @lru_cache(maxsize=1)
-def _leading_stack():
-    """The W0 and W1 rows of _witness_stack(), the first in scan order: a
-    read-only (32, 16) view."""
-    n = sum(len(_orbit(family, False)[0]) for family in ("W0", "W1"))
-    return _witness_stack()[:n]
+def _ppt_stack():
+    """(start, rows): the W1 rows of _witness_stack(), a read-only (16, 16)
+    view, and the scan index of the first of them, the W0 row count."""
+    start = len(_orbit("W0", False)[0])
+    return start, _witness_stack()[start:start + len(_orbit("W1", False)[0])]
 
 
 def witness_value(witness, r):
@@ -242,10 +242,14 @@ def _rmatrix_array(r):
 
 def validate_rmatrix(r):
     r = _rmatrix_array(r)
-    # negated comparisons, so a NaN entry fails them
-    if not r.min() >= -TOL.tie:
-        raise InvalidStateError(f"negative entry {r.min()}")
-    if not abs(r.sum() - 1.0) <= TOL.equality:
+    flat = r.ravel().tolist()
+    # one negated comparison on Python floats: a NaN entry fails it through
+    # the sum; numpy names the fault only once it has failed
+    if not (min(flat) >= -TOL.tie and abs(sum(flat) - 1.0) <= TOL.equality):
+        low = r.min()
+        if not low >= -TOL.tie:
+            kind = "non-finite" if np.isnan(low) else "negative"
+            raise InvalidStateError(f"{kind} entry {low}")
         raise InvalidStateError(f"entries sum to {r.sum()}, expected 1")
     return r
 
@@ -315,8 +319,9 @@ def is_separable(r):
 
     The witness orbit cuts out the separable polytope, so the scan decides.
     A value below -TOL.witness returns the first violated witness in scan
-    order as a ViolatedWitness.  The scan runs in two stages: the 32
-    leading W0 and W1 witnesses (positivity and PPT), which refute most
+    order as a ViolatedWitness.  Positivity (the W0 witnesses) is the
+    validation: validate_rmatrix rejects an entry below -TOL.tie.  The scan
+    then runs in two stages: the 16 W1 (PPT) witnesses, which refute most
     entangled r, and then, only if they all hold, the full 1280, whose
     values the walk needs.  Either stage's first violation is the first of
     the full scan.  Otherwise the facet walk (_facet_walk)
@@ -327,13 +332,18 @@ def is_separable(r):
     than TOL.solver.
     """
     r = validate_rmatrix(r)
-    for stack in (_leading_stack(), _witness_stack()):
-        vals = stack @ r.ravel()
-        # the first violation in scan order, not the deepest
-        first = int(np.argmax(vals < -TOL.witness))
-        if vals[first] < -TOL.witness:
-            return ViolatedWitness(witness=witness_orbit()[first],
-                                   value=float(vals[first]))
+    # validated entries are >= -TOL.tie > -TOL.witness: no W0 row can fail
+    start, ppt = _ppt_stack()
+    for k, value in enumerate((ppt @ r.ravel()).tolist()):
+        if value < -TOL.witness:
+            return ViolatedWitness(witness=witness_orbit()[start + k],
+                                   value=value)
+    vals = _witness_stack() @ r.ravel()
+    # the first violation in scan order, not the deepest
+    first = int(np.argmax(vals < -TOL.witness))
+    if vals[first] < -TOL.witness:
+        return ViolatedWitness(witness=witness_orbit()[first],
+                               value=float(vals[first]))
     weights = _facet_walk(r, vals)
     miss = float(np.abs(weights @ _vertex_array() - r.ravel()).max())
     if miss > TOL.solver:

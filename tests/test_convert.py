@@ -8,8 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import slocc.convert
-from slocc.bell import (InvalidWeightsError, weights_to_coords,
-                        weights_to_density)
+from slocc.bell import (InvalidWeightsError, is_entangled_bd,
+                        weights_to_coords, weights_to_density)
 from slocc.choi import map_action_bd
 from slocc.cli import _random_ordered_entangled
 from slocc.convert import (NotConvertibleError, NotEntangledError,
@@ -405,12 +405,33 @@ def test_yes_on_faces_of_thin_polytopes():
         assert isinstance(is_separable(r / r.sum()), ConvexDecomposition)
 
 
+def test_lp_oracle_near_half():
+    # lam_1 - 1/2 log-uniform in [1e-12, 3e-4]: P_lam is that thin along
+    # x_1, below the LP's absolute tolerance in plain coordinates.  Targets
+    # are sorted mixtures of the vertices (YES), and reversed pairs (NO)
+    rng = np.random.default_rng(58)
+    answers = {True: 0, False: 0}
+    for _ in range(300):
+        delta = 10.0 ** rng.uniform(-12, np.log10(3e-4))
+        tail = np.sort(rng.dirichlet(np.ones(3)))[::-1] * (0.5 - delta)
+        lam = np.concatenate(([0.5 + delta], tail))
+        lam_p = np.sort(rng.dirichlet(np.ones(9))
+                        @ (slocc.convert._GENERATORS @ lam))[::-1]
+        for src, dst in ((lam, lam_p), (lam_p, lam)):
+            if not (is_entangled_bd(src) and is_entangled_bd(dst)):
+                continue
+            yes = can_convert_bd(src, dst, with_map=False).convertible
+            assert lp_oracle_membership(src, dst) == yes
+            answers[yes] += 1
+    assert min(answers.values()) > 250
+
+
 @pytest.mark.parametrize("bad", [
     [np.nan, 0.5, 0.5, 0.0], [0.7, 0.1, 0.1, np.nan]])
 def test_nan_weights_rejected(bad):
-    with pytest.raises(InvalidWeightsError):
+    with pytest.raises(InvalidWeightsError, match="non-finite weight nan"):
         can_convert_bd(bad, LAM)
-    with pytest.raises(InvalidWeightsError):
+    with pytest.raises(InvalidWeightsError, match="non-finite weight nan"):
         can_convert_bd(LAM, bad)
 
 

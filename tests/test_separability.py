@@ -1,5 +1,6 @@
 import itertools
 import os
+import re
 import subprocess
 import sys
 
@@ -119,7 +120,7 @@ def test_import_builds_no_orbit():
             "[0.6, 0.2, 0.1, 0.1])\n"
             "for f in (s._orbit, s.vertex_set, s._vertex_origins, "
             "s._vertex_array, s.witness_orbit, s._witness_stack, "
-            "s._leading_stack, s._walk_tables):\n"
+            "s._ppt_stack, s._walk_tables):\n"
             "    assert f.cache_info().currsize == 0, f\n")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(
         os.path.dirname(slocc.__file__)))
@@ -164,17 +165,36 @@ def test_witness_value_examples():
             witness_value(bad, D0)
 
 
+def _d0_with(*entries):
+    """D0 with each (index, value) of `entries` written in."""
+    r = D0.copy()
+    for at, value in entries:
+        r[at] = value
+    return r
+
+
+# (bad r, message): only the NaN messages differ from those of numpy's min
+# and sum checks
+_INVALID_RMATRICES = [
+    (np.eye(4), "entries sum to 4.0, expected 1"),
+    (-D0, "negative entry -0.25"),
+    (D0 * (1 + 2e-10), "entries sum to 1.0000000002, expected 1"),
+    (D0 * (1 - 2e-10), "entries sum to 0.9999999998, expected 1"),
+    (_d0_with(((0, 1), -2e-12)), "negative entry -2e-12"),
+    (_d0_with(((1, 2), np.inf)), "entries sum to inf, expected 1"),
+    (_d0_with(((1, 2), -np.inf)), "negative entry -inf"),
+    (_d0_with(((1, 2), np.nan)), "non-finite entry nan"),
+    (_d0_with(((1, 2), -np.inf), ((3, 0), np.nan)), "non-finite entry nan"),
+    (np.full((3, 4), 1 / 12), "r-matrix must be 4x4"),
+]
+
+
 def test_validate_rmatrix():
-    with pytest.raises(InvalidStateError):
-        validate_rmatrix(np.eye(4))  # sums to 4
-    with pytest.raises(InvalidStateError):
-        validate_rmatrix(-D0)
-    nan = D0.copy()
-    nan[3, 0] = np.nan
-    with pytest.raises(InvalidStateError):
-        validate_rmatrix(nan)
-    with pytest.raises(InvalidStateError):
-        is_separable(nan)
+    for bad, message in _INVALID_RMATRICES:
+        for check in (validate_rmatrix, is_separable):
+            with pytest.raises(InvalidStateError,
+                               match=f"^{re.escape(message)}$"):
+                check(bad)
 
 
 def test_seed_states_separable_with_tight_decomposition():
@@ -197,6 +217,31 @@ def test_bell_pair_entangled():
     assert isinstance(cert, ViolatedWitness)
     assert cert.witness.family == "W1"
     assert cert.value == -1.0
+
+
+@pytest.mark.parametrize("alpha", [0.4, 1.0, 1.4])
+@pytest.mark.parametrize("symmetrised", [True, False])
+def test_first_stage_names_the_first_violation_of_the_full_scan(
+        alpha, symmetrised):
+    # the first stage reads the W1 rows alone: its NO must be the full
+    # scan's first violation, with the same value, and never a W0 row
+    rng = np.random.default_rng([34, int(10 * alpha), symmetrised])
+    orbit = witness_orbit()
+    nos = 0
+    for _ in range(300):
+        r = rng.dirichlet(np.full(16, alpha)).reshape(4, 4)
+        if symmetrised:
+            r = (r + r.T) / 2
+        cert = is_separable(r)
+        if isinstance(cert, ConvexDecomposition):
+            continue
+        vals = min_witness_values(r)
+        first = int(np.argmax(vals < -TOL.witness))
+        assert cert.witness is orbit[first]
+        assert cert.value == vals[first]
+        assert cert.witness.family != "W0"
+        nos += 1
+    assert nos >= 30
 
 
 def test_min_witness_values_matches_scan():
