@@ -60,15 +60,19 @@ class OutOfTetrahedronError(NumericsError):
 
 
 def validate_weights(lam):
-    """Return `lam` as a float array after checking the probability invariants."""
+    """Return `lam` as a float array after checking the probability
+    invariants; a weight within TOL.tie below 0 reads as 0.  Every function
+    of this module that returns Bell weights applies this rule."""
     lam = np.asarray(lam, dtype=float)
     if lam.shape != (4,):
         raise InvalidWeightsError("weight vector must have 4 components")
+    low = lam.min()
     # negated comparisons, so a NaN entry fails them
-    if not lam.min() >= -TOL.tie:
-        low = lam.min()
+    if not low >= -TOL.tie:
         kind = "non-finite" if np.isnan(low) else "negative"
         raise InvalidWeightsError(f"{kind} weight {low}")
+    if low < 0:  # rounding dust
+        lam = np.maximum(lam, 0.0)
     if not abs(lam.sum() - 1.0) <= TOL.equality:
         raise InvalidWeightsError(f"weights sum to {lam.sum()}, expected 1")
     return lam
@@ -85,7 +89,8 @@ def density_to_weights(rho):
     """Bell weights of a Bell-diagonal density matrix.
 
     Raises NotBellDiagonalError if any off-diagonal Bell-basis element
-    exceeds TOL.equality.
+    exceeds TOL.equality, and InvalidWeightsError if the diagonal is no
+    weight vector.
     """
     rho = np.asarray(rho, dtype=complex)
     U = BELL_VECTORS.T  # columns are Bell vectors
@@ -95,7 +100,7 @@ def density_to_weights(rho):
     if not np.abs(off).max() <= TOL.equality:
         raise NotBellDiagonalError(
             f"off-diagonal Bell element {np.abs(off).max():.3e}")
-    return np.real(np.diag(in_bell))
+    return validate_weights(np.real(np.diag(in_bell)))
 
 
 def weights_to_coords(lam):
@@ -105,7 +110,8 @@ def weights_to_coords(lam):
 
 
 def coords_to_weights(xyz):
-    """Inverse of weights_to_coords; point must lie in the state tetrahedron.
+    """Inverse of weights_to_coords; the point's weights must pass
+    validate_weights, so it lies in the state tetrahedron.
 
     The columns of [1 | BELL_COORDS] are orthogonal with squared norm 4, so
     lam = (1 + BELL_COORDS @ xyz) / 4.
@@ -113,11 +119,11 @@ def coords_to_weights(xyz):
     xyz = np.asarray(xyz, dtype=float)
     if xyz.shape != (3,):
         raise OutOfTetrahedronError(f"point {xyz} must have 3 coordinates")
-    lam = (1.0 + BELL_COORDS @ xyz) / 4.0
-    # negated comparison, so a NaN coordinate fails it
-    if not lam.min() >= TOL.psd_slack:
-        raise OutOfTetrahedronError(f"point {xyz} outside the Bell tetrahedron")
-    return lam
+    try:
+        return validate_weights((1.0 + BELL_COORDS @ xyz) / 4.0)
+    except InvalidWeightsError as exc:
+        raise OutOfTetrahedronError(
+            f"point {xyz} outside the Bell tetrahedron") from exc
 
 
 def canonical_order(lam):

@@ -95,8 +95,7 @@ def _array(obj, shape, where):
 # [re, im] pair, viewed bit for bit as one complex number, and the density
 # must be a state: Hermitian, of unit trace and PSD
 _KINDS = {
-    "weights": ("lambda", (4,),
-                lambda a: np.clip(validate_weights(a), 0.0, None)),
+    "weights": ("lambda", (4,), validate_weights),
     "rmatrix": ("r", (4, 4), validate_rmatrix),
     "density": ("matrix", (4, 4, 2),
                 lambda a: _states((a.view(complex)[..., 0],))[0][0]),
@@ -214,11 +213,8 @@ def cmd_separable(args):
         raise InputError(f"{args.state}: 'separable' expects kind 'rmatrix'")
     cert = is_separable(payload)
     if isinstance(cert, ConvexDecomposition):
-        idx = np.frombuffer(cert.support, dtype=np.uint8)
-        coef = np.frombuffer(cert.coefficients)
-        # the printed certificate: rounding dust of at most TOL.tie dropped
-        support = [(int(i), float(c)) for i, c in zip(idx, coef)
-                   if c > TOL.tie]
+        support = list(zip(cert.support,
+                           np.frombuffer(cert.coefficients).tolist()))
         verts = _vertex_array()
         # rebuilt from the printed weights alone, in ascending vertex order
         recon = sum(w * verts[i] for i, w in support)
@@ -236,7 +232,7 @@ def cmd_separable(args):
         return EXIT_YES
     assert isinstance(cert, ViolatedWitness)
     value = witness_value(cert.witness, payload)  # re-verify before exit
-    if value > -TOL.tie:
+    if not value < -TOL.witness:
         print("internal error: witness value not negative on re-check",
               file=sys.stderr)
         return EXIT_ERROR

@@ -73,7 +73,7 @@ def _states(rhos):
                 np.concatenate((stack, pt.reshape(n, 4, 4))))[:, 0]
             if low[:n].min() < TOL.psd_slack:
                 raise InvalidStateError("state is not positive semidefinite")
-            return stack, low[n:] >= TOL.ppt
+            return stack, low[n:] >= -TOL.witness
     if len(rhos) > 1:  # raise for the first state that fails on its own
         for rho in rhos:
             _states((rho,))

@@ -36,53 +36,42 @@ class InvalidStateError(NumericsError):
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Central tolerance record: every threshold of the package is read here.
+    """Central tolerance record: every threshold of the package is read here,
+    one role per field.
 
-    equality    -- generic floating-point equality slack: weights sum to 1,
-                   a trace is 1, a matrix is Hermitian for the state
-                   validators, a replayed certificate reproduces its target,
-                   filtered marginals reach I/2, and off-diagonal Bell
-                   elements read by density_to_weights
-    psd_slack   -- most negative eigenvalue still treated as >= 0; the Bell
-                   weights of a correlation point are the eigenvalues of its
-                   state, so it also bounds a weight read off a point
-    hermiticity -- max |M - M^dag| entry accepted as Hermitian
-    lp          -- feasibility tolerance handed to the solver of the
-                   convex_membership LP (the HiGHS backend rejects values
-                   below 1e-10)
-    lorentz     -- relative slack within which eigenvalues of the Lorentz
-                   matrix eta R eta R^T count as one, and above which a
-                   cluster's defect marks a Jordan block (rank-deficient class)
-    ppt         -- most negative partial-transpose eigenvalue still counted
-                   as PPT (separable) for a two-qubit state
-    witness     -- slack of the entanglement-witness scan: a value <W, r>
-                   below -witness certifies that an r-matrix is entangled
-    singular    -- smallest |det| of a four-vertex barycentric system that is
-                   solved; below it the four vertices are affinely dependent
-                   (duplicates from tied weights, or coplanar)
-    tie         -- absolute slack at which two weights, or a weight and a
-                   bound, count as equal: ties in a descending order, lam_1
-                   at 1/2, coinciding vertices of a reachable polytope, vertex
-                   entries at 0 or 1/4, a weight or r-matrix entry (or a
-                   witness value re-checked by the CLI) at 0, and successive
-                   see-saw values at convergence
-    negligible  -- largest mass still treated as zero: a convex coefficient
-                   left out of a synthesized map, or the success weight of a
-                   map that annihilates its input
-    blowup      -- smallest marginal eigenvalue that filter_iteration still
-                   inverts; below it the filter blows up (a rank-deficient
-                   marginal)
-    solver      -- slack of a re-check on a computed answer: the facet
-                   walk's decomposition rebuilt from its weights, and the
-                   see-saw minimum of a valid witness over product states
+    equality   -- slack of a floating-point equality: a unit sum or trace,
+                  Hermiticity, an off-diagonal Bell element, a replayed
+                  certificate, filtered marginals at I/2, and the feasibility
+                  tolerance of the convex_membership LP (the HiGHS backend
+                  rejects values below 1e-10)
+    psd_slack  -- most negative eigenvalue of a density matrix still
+                  treated as >= 0
+    lorentz    -- relative slack within which eigenvalues of the Lorentz
+                  matrix eta R eta R^T count as one, and above which a
+                  cluster's defect marks a Jordan block (rank-deficient class)
+    witness    -- slack of an entanglement certificate: a witness value <W, r>
+                  or a two-qubit partial-transpose eigenvalue below -witness
+                  certifies entanglement
+    singular   -- smallest |det| of a four-vertex barycentric system that is
+                  solved; below it the four vertices are affinely dependent
+    tie        -- absolute slack at which two numbers count as equal: ties in
+                  a descending order, lam_1 at 1/2, coinciding vertices, a
+                  vertex entry at 0 or 1/4, a weight or r-matrix entry at 0
+                  (a weight that close below 0 reads as 0), and successive
+                  see-saw values at convergence
+    negligible -- largest mass still treated as zero: a convex coefficient
+                  left out of a map or a decomposition, or the success weight
+                  of a map that annihilates its input
+    blowup     -- smallest marginal eigenvalue that filter_iteration still
+                  inverts; below it the filter blows up
+    solver     -- slack of a re-check on a computed answer: the facet walk's
+                  decomposition rebuilt from its weights, and the see-saw
+                  minimum of a valid witness over product states
     """
 
     equality: float = 1e-10
     psd_slack: float = -1e-9
-    hermiticity: float = 1e-12
-    lp: float = 1e-10
     lorentz: float = 1e-6
-    ppt: float = -1e-10
     witness: float = 1e-10
     singular: float = 1e-12
     tie: float = 1e-12
@@ -93,17 +82,17 @@ class Tolerances:
 
 TOL = Tolerances()
 
-_LP_OPTIONS = {"primal_feasibility_tolerance": TOL.lp,
-               "dual_feasibility_tolerance": TOL.lp}
+_LP_OPTIONS = {"primal_feasibility_tolerance": TOL.equality,
+               "dual_feasibility_tolerance": TOL.equality}
 # HiGHS drops constraint-matrix entries of magnitude at most this
 # (its default `small_matrix_value`).
 _HIGHS_SMALL_ENTRY = 1e-9
 
 
-def is_hermitian(M, tol=TOL.hermiticity):
+def is_hermitian(M):
     M = np.asarray(M)
     return M.ndim == 2 and M.shape[0] == M.shape[1] and \
-        np.abs(M - M.conj().T).max() <= tol
+        np.abs(M - M.conj().T).max() <= TOL.equality
 
 
 def kron(*ops):

@@ -89,7 +89,7 @@ class ConvexDecomposition:
     At most 16 vertices carry weight (Caratheodory: the polytope is
     15-dimensional), so only they are kept, as immutable bytes: `support`
     holds their indices into vertex_set() (uint8) and `coefficients` their
-    weights (float64), in the same order.
+    weights (float64), in the same order, none at or below TOL.negligible.
     """
 
     support: bytes
@@ -325,8 +325,9 @@ def is_separable(r):
     entangled r, and then, only if they all hold, the full 1280, whose
     values the walk needs.  Either stage's first violation is the first of
     the full scan.  Otherwise the facet walk (_facet_walk)
-    decomposes r over the 60 vertices and the ConvexDecomposition is
-    returned once its weights rebuild r within TOL.solver.  Neither answer
+    decomposes r over the 60 vertices, weights at or below TOL.negligible
+    are dropped, and the ConvexDecomposition is returned once the weights
+    it keeps rebuild r within TOL.solver.  Neither answer
     solves an LP.  InternalInconsistencyError is raised, as a bug, if the
     walk ends on other than one vertex, or if the rebuild misses r by more
     than TOL.solver.
@@ -345,6 +346,7 @@ def is_separable(r):
         return ViolatedWitness(witness=witness_orbit()[first],
                                value=float(vals[first]))
     weights = _facet_walk(r, vals)
+    weights[weights <= TOL.negligible] = 0.0  # rounding dust
     miss = float(np.abs(weights @ _vertex_array() - r.ravel()).max())
     if miss > TOL.solver:
         raise InternalInconsistencyError(
@@ -364,9 +366,9 @@ def seesaw_min_product(Z, restarts=200, rng=None):
     (alpha, beta)); an upper bound on the true product-state minimum.
     """
     Z = np.asarray(Z, dtype=complex)
-    if not is_hermitian(Z, tol=TOL.equality):
+    if not is_hermitian(Z):
         raise NonHermitianError("see-saw input must be Hermitian")
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    rng = np.random.default_rng(rng)
     Zt = Z.reshape(4, 4, 4, 4)
     best_val = np.inf
     best_pair = None

@@ -53,6 +53,11 @@ def test_density_to_weights_rejects_nan():
         density_to_weights(rho)
 
 
+def test_density_to_weights_checks_the_weights():
+    with pytest.raises(InvalidWeightsError):
+        density_to_weights(2 * np.eye(4))
+
+
 def test_coords_round_trip_and_rejection():
     rng = np.random.default_rng(12)
     for _ in range(20):
@@ -64,7 +69,27 @@ def test_coords_round_trip_and_rejection():
             coords_to_weights(np.array(bad))
 
 
+@pytest.mark.parametrize("outside, accepted",
+                         [(5e-13, True), (5e-11, False), (5e-10, False)])
+def test_coords_to_weights_accepts_what_validate_weights_accepts(outside,
+                                                                 accepted):
+    # just outside the Phi_4 vertex (1, 1, 1) the other three weights read
+    # -outside / 4: rounding dust at 5e-13, out of the tetrahedron beyond
+    xyz = np.full(3, 1.0 + outside)
+    lam = (1.0 + BELL_COORDS @ xyz) / 4.0
+    if accepted:
+        assert np.array_equal(coords_to_weights(xyz), validate_weights(lam))
+        assert coords_to_weights(xyz).min() == 0
+    else:
+        with pytest.raises(InvalidWeightsError):
+            validate_weights(lam)
+        with pytest.raises(OutOfTetrahedronError):
+            coords_to_weights(xyz)
+
+
 def test_validate_weights():
+    # a weight within TOL.tie below 0 is rounding dust and reads as 0
+    assert validate_weights([0.7, 0.2, 0.1 + 5e-13, -5e-13])[3] == 0
     with pytest.raises(InvalidWeightsError):
         validate_weights([0.5, 0.5, 0.5, -0.5])
     with pytest.raises(InvalidWeightsError):

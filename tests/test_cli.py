@@ -11,7 +11,8 @@ from slocc.bell import BELL_VECTORS, weights_to_density
 from slocc.choi import rho_nd
 from slocc.cli import _selfcheck_items, main
 from slocc.numerics import TOL
-from slocc.separability import (CANONICAL_WITNESSES, D0, G0, is_separable,
+from slocc.separability import (CANONICAL_WITNESSES, D0, G0, _facet_walk,
+                                is_separable, min_witness_values,
                                 vertex_set)
 
 
@@ -234,12 +235,14 @@ def test_separable_transposed_witness(tmp_path, capsys):
 def test_separable_deviation_is_that_of_the_printed_weights(tmp_path,
                                                             capsys):
     # the facet walk leaves weights of rounding dust on this mixture of five
-    # vertices; the certificate drops them, so the deviation it prints must
-    # be the one of the weights it prints
+    # vertices; the certificate carries none, and the deviation printed must
+    # be the one of the weights printed
     r = np.array([[0.0, 0.04, 0.1, 0.0], [0.06, 0.02, 0.09, 0.19],
                   [0.08, 0.08, 0.05, 0.15000000000000002],
                   [0.12, 0.0, 0.0, 0.02]])
-    assert np.frombuffer(is_separable(r).coefficients).min() <= TOL.tie
+    raw = _facet_walk(r, min_witness_values(r))
+    assert 0 < raw[raw > 0].min() <= TOL.negligible
+    assert np.frombuffer(is_separable(r).coefficients).min() > TOL.negligible
     f = _write(tmp_path, "dust.json", {"kind": "rmatrix", "r": r.tolist()})
     assert main(["--json", "separable", f]) == 0
     data = json.loads(capsys.readouterr().out)
@@ -305,9 +308,26 @@ def test_no_scipy_for_a_separable_rmatrix(tmp_path):
                        "ConvexDecomposition)\n")
 
 
-def test_selfcheck_witness_scan_vs_lp():
-    ok, detail = dict(_selfcheck_items(0))["witness scan vs LP oracle"]()
+@pytest.mark.parametrize("fn", [pytest.param(fn, id=name.replace(" ", "-"))
+                                for name, fn in _selfcheck_items(0)])
+def test_selfcheck_item(fn):
+    ok, detail = fn()
     assert ok, detail
+
+
+def test_selfcheck_reports_a_raising_item(monkeypatch, capsys):
+    def broken():
+        raise ValueError("broken item")
+
+    items = dict(_selfcheck_items(0))
+    monkeypatch.setattr(slocc.cli, "_selfcheck_items", lambda seed: [
+        ("W2 extension certificate", items["W2 extension certificate"]),
+        ("quasi-reverse map", broken)])
+    assert main(["selfcheck"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("[PASS] W2 extension certificate: ")
+    assert lines[1].startswith(
+        "[FAIL] quasi-reverse map: raised ValueError: broken item (")
 
 
 def test_normal_form_nd(tmp_path, capsys):

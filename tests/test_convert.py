@@ -46,6 +46,12 @@ def test_monotones_input_contract():
         monotones(np.array([0.25, 0.25, 0.25, 0.25]))
 
 
+def test_monotones_of_weights_with_dust_below_zero():
+    # the triple's contract, all >= 0, holds on a weight read as 0
+    m = monotones([0.7, 0.2, 0.1 + 5e-13, -5e-13])
+    assert min(m.e2 + m.e3) >= 0 and m.e3[1] == 0
+
+
 def test_ratio_comparison():
     assert ratio_geq((1.0, 0.0), (5.0, 1.0))   # inf >= 5
     assert ratio_geq((1.0, 0.0), (1.0, 0.0))

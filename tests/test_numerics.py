@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import inspect
 import io
 import tokenize
@@ -10,8 +11,8 @@ import pytest
 import slocc
 from slocc.cli import _random_ordered_entangled
 from slocc.numerics import (DegenerateInputError, DimensionMismatchError,
-                            convex_membership, is_hermitian, kron,
-                            partial_trace, partial_transpose)
+                            Tolerances, convex_membership, is_hermitian,
+                            kron, partial_trace, partial_transpose)
 
 
 def test_is_hermitian():
@@ -122,6 +123,21 @@ def test_small_float_literals_live_in_numerics():
                 continue
             found.append(f"{path.name}:{tok.start[0]}: {tok.string}")
     assert found == []
+
+
+def test_every_tolerance_is_read():
+    # a Tolerances field that no code reads as TOL.<field> is a knob without
+    # a use; docstrings and comments do not count as readers
+    read = set()
+    for path in Path(slocc.__file__).parent.glob("*.py"):
+        tokens = [tok.string for tok in tokenize.generate_tokens(
+            io.StringIO(path.read_text()).readline)
+            if tok.type in (tokenize.NAME, tokenize.OP)]
+        read.update(field for name, dot, field
+                    in zip(tokens, tokens[1:], tokens[2:])
+                    if name == "TOL" and dot == ".")
+    assert [f.name for f in dataclasses.fields(Tolerances)
+            if f.name not in read] == []
 
 
 def test_no_unused_imports_in_src():

@@ -30,11 +30,13 @@ VERTS = np.stack([v.ravel() for v in vertex_set()])
 
 
 def _checked_decomposition(r, on_or_inside=True):
-    """is_separable's ConvexDecomposition of r, with nonnegative weights on
-    at most 16 vertices (Caratheodory in 15 dimensions) that rebuild r
-    within TOL.equality, or TOL.solver for r just outside the polytope."""
+    """is_separable's ConvexDecomposition of r, with weights above
+    TOL.negligible (no rounding dust) on at most 16 vertices (Caratheodory
+    in 15 dimensions) that rebuild r within TOL.equality, or TOL.solver for
+    r just outside the polytope."""
     cert = is_separable(r)
     assert isinstance(cert, ConvexDecomposition)
+    assert np.frombuffer(cert.coefficients).min() > TOL.negligible
     w = cert.weights
     assert w.min() >= 0 and len(cert.support) == np.count_nonzero(w) <= 16
     miss = np.abs(w @ VERTS - np.ravel(r)).max()
